@@ -363,36 +363,20 @@ func BenchmarkBatchDiscovery(b *testing.B) {
 	})
 }
 
-// BenchmarkSharedSelection measures the collection-wide selection memo: 64
-// *solo* sessions (no batch scheduler) driven one after another, shared
-// versus unshared. With identical targets every session after the first
-// walks a fully memoised question path, so selections computed per session
-// collapse toward zero ("selcomp/sess"); divergent targets share only the
-// popular prefix near the root. The -1 variants pin the single-session
-// overhead of routing through the memo (the ≤5% regression budget).
+// BenchmarkSharedSelection measures the one cross-session selection memo —
+// the lookahead cache every session drawn from one strategy factory shares,
+// as all sessions over a Collection with equal options do: 64 solo sessions
+// driven one after another over a cold cache (a fresh factory per iteration,
+// so the first session fills the cache for the rest) or a warm one (every
+// target already resolved once). Identical targets walk one question path,
+// so every session after the first is served from the cache; divergent
+// targets share only the popular prefix near the root. The -1 variants show
+// what a single session costs cold and warm. Each variant reports wall-clock
+// per session ("ns/sess") next to lookahead-cache hits and misses per
+// session.
 func BenchmarkSharedSelection(b *testing.B) {
 	c := benchCollection(b)
 	const n = 64
-
-	run := func(b *testing.B, memo *discovery.SelectionMemo, targets []*dataset.Set) int {
-		b.Helper()
-		selections := 0
-		f := strategy.NewKLP(cost.AD, 2)
-		for _, target := range targets {
-			res, err := discovery.Run(c, nil, discovery.TargetOracle{Target: target},
-				discovery.Options{Strategy: f.New(), Memo: memo, MemoAux: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Target != target {
-				b.Fatal("discovery missed")
-			}
-			// The unshared baseline computes one selection per interaction;
-			// shared runs report the memo's own Computed counter instead.
-			selections += res.Interactions
-		}
-		return selections
-	}
 
 	identical := make([]*dataset.Set, n)
 	divergent := make([]*dataset.Set, n)
@@ -400,34 +384,57 @@ func BenchmarkSharedSelection(b *testing.B) {
 		identical[i] = c.Set(c.Len() - 1)
 		divergent[i] = c.Set(i % c.Len())
 	}
+	run := func(b *testing.B, f strategy.Factory, targets []*dataset.Set) {
+		b.Helper()
+		for _, target := range targets {
+			res, err := discovery.Run(c, nil, discovery.TargetOracle{Target: target},
+				discovery.Options{Strategy: f.New()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Target != target {
+				b.Fatal("discovery missed")
+			}
+		}
+	}
 
 	variants := []struct {
 		name    string
-		shared  bool
+		warm    bool
 		targets []*dataset.Set
 	}{
-		{"shared-64-identical", true, identical},
-		{"unshared-64-identical", false, identical},
-		{"shared-64-divergent", true, divergent},
-		{"unshared-64-divergent", false, divergent},
-		{"shared-1", true, identical[:1]},
-		{"unshared-1", false, identical[:1]},
+		{"cold-64-identical", false, identical},
+		{"warm-64-identical", true, identical},
+		{"cold-64-divergent", false, divergent},
+		{"warm-64-divergent", true, divergent},
+		{"cold-1", false, identical[:1]},
+		{"warm-1", true, identical[:1]},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			sessions := float64(len(v.targets))
-			var selcomp float64
-			for i := 0; i < b.N; i++ {
-				if v.shared {
-					memo := discovery.NewSelectionMemo(discovery.DefaultMemoBound)
-					run(b, memo, v.targets)
-					selcomp = float64(memo.Stats().Computed)
-				} else {
-					selcomp = float64(run(b, nil, v.targets))
-				}
+			f := strategy.NewKLP(cost.AD, 2)
+			if v.warm {
+				run(b, f, v.targets)
 			}
-			b.ReportMetric(selcomp/sessions, "selcomp/sess")
+			before := f.CacheStats()
+			var hits, misses int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !v.warm {
+					f = strategy.NewKLP(cost.AD, 2)
+					before = f.CacheStats()
+				}
+				run(b, f, v.targets)
+				after := f.CacheStats()
+				hits += after.Hits - before.Hits
+				misses += after.Misses - before.Misses
+				before = after
+			}
+			sessions := float64(b.N * len(v.targets))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/sessions, "ns/sess")
+			b.ReportMetric(float64(hits)/sessions, "hits/sess")
+			b.ReportMetric(float64(misses)/sessions, "misses/sess")
 		})
 	}
 }

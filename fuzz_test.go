@@ -109,19 +109,11 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// snap above is a version-2 envelope (shared selection is on by default,
-	// so the session carries a memo delta); seed the delta-less version-1
-	// envelope too so the fuzzer mutates both layouts.
-	plain, err := c.NewSession([]string{"b"}, WithSharedSelection(false))
-	if err != nil {
-		f.Fatal(err)
-	}
-	plainSnap, err := plain.Snapshot()
-	if err != nil {
-		f.Fatal(err)
-	}
+	// snap above is a version-1 envelope; seed a version-2 envelope with a
+	// memo delta, written by an earlier release, so the fuzzer mutates both
+	// layouts.
 	f.Add(snap)
-	f.Add(plainSnap)
+	f.Add(v2Fixture(f))
 	f.Add(batchSnap)
 	f.Add(treeSnap)
 	f.Add([]byte("SDSS"))
@@ -195,7 +187,7 @@ func FuzzSelectionCacheShard(f *testing.F) {
 // question state: the snapshot envelope (RestoreSession/RestoreBatch, bumped
 // to version 3 for group sessions) and the wire frame decoder (group state
 // travels under flag-gated appends). The corpus seeds every envelope
-// generation — version-1 delta-less, version-2 shared-selection, version-3
+// generation — version-1 delta-less, version-2 memo-delta, version-3
 // halving mid-flight and additive-with-constraints — plus group-flagged
 // Create/Question/Answer/BatchAnswer frames. Contracts: rejections wrap
 // ErrBadSnapshot / wireproto.ErrBadFrame (never a panic or naked error), an
@@ -242,8 +234,9 @@ func FuzzGroupQuestionState(f *testing.F) {
 	}
 
 	// Pre-bump envelopes: entity sessions must keep decoding unchanged
-	// after the version-3 bump.
-	v1, err := c.NewSession(nil, WithSharedSelection(false))
+	// after the version-3 bump. Version 2 is no longer written, so its seed
+	// is an envelope an earlier release wrote.
+	v1, err := c.NewSession(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -251,17 +244,7 @@ func FuzzGroupQuestionState(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	v2, err := c.NewSession(nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := v2.Answer(No); err != nil {
-		f.Fatal(err)
-	}
-	v2Snap, err := v2.Snapshot()
-	if err != nil {
-		f.Fatal(err)
-	}
+	v2Snap := v2Fixture(f)
 
 	// Group-flagged wire frames alongside the snapshots: one corpus, both
 	// decoders probed per input.

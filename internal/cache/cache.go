@@ -261,23 +261,6 @@ func (c *Cache[V]) Reset() {
 	}
 }
 
-// Peek returns the entry for k without touching the hit/miss counters or the
-// entry's second-chance bit. Use it for read-only inspection (exports,
-// snapshot deltas) where a lookup must not perturb eviction or statistics.
-func (c *Cache[V]) Peek(k Key) (V, bool) {
-	s := c.shardFor(k)
-	var v V
-	var ok bool
-	s.mu.RLock()
-	if s.m != nil {
-		v, ok = s.m[k]
-	} else if i, found := s.idx[k]; found {
-		v, ok = s.slots[i].val, true
-	}
-	s.mu.RUnlock()
-	return v, ok
-}
-
 // Entry is one key/value pair returned by Export.
 type Entry[V any] struct {
 	Key Key

@@ -58,18 +58,11 @@ type partEntry struct {
 var soloScheduler = &scheduler{}
 
 // selectInteraction picks the entities of a session's next interaction —
-// through the shared memo when the scheduler has one and the member has no
+// through the round memo on a batch scheduler when the member has no
 // exclusions, directly otherwise. (The solo scheduler is a shared stateless
 // value: it must stay read-only, so only batch schedulers count stats.)
 func (d *scheduler) selectInteraction(s *Session) ([]dataset.Entity, bool) {
 	if !d.shared {
-		// Solo path: go through the collection-wide memo when the session
-		// has one and no "don't know" exclusions (exclusions make the result
-		// depend on more than the candidate fingerprint — the same rule as
-		// the batch memo below).
-		if m := s.opts.Memo; m != nil && len(s.excluded) == 0 {
-			return m.selectShared(s)
-		}
 		return selectBatch(s.cs, s.opts, s.excluded, s.res, s.scratch)
 	}
 	if len(s.excluded) > 0 {

@@ -244,23 +244,11 @@ type Options struct {
 	// Group switches the session to set-valued (group-testing) questions:
 	// every interaction asks about a subset of entities chosen by this
 	// strategy instead of a single entity. Group sessions ignore Strategy,
-	// BatchSize and Memo (subset selections are not entity-memoisable);
+	// and BatchSize;
 	// questions surface through Session.PendingSubset and answers partition
 	// by the subset's semantics. An Unknown reply excludes every member of
 	// the subset. Like Strategy, the instance is owned by this run.
 	Group grouptest.Strategy
-
-	// Memo, when non-nil, routes the solo session's selections through a
-	// collection-wide SelectionMemo so concurrent and successive sessions at
-	// the same candidate-set state share one strategy computation. MemoAux
-	// must hash every option that changes what selectBatch returns (strategy
-	// identity and parameters, batch size) — two sessions share an entry only
-	// when their keys agree on it. Runtime wiring, not behaviour: selections
-	// are byte-identical with or without a memo, and the memo is not part of
-	// the encoded session state. Batch members ignore it (a Batch has its own
-	// round memo, whose stats are pinned per batch).
-	Memo    *SelectionMemo
-	MemoAux uint64
 
 	// noScratch disables the session's subset recycling (tests only: the
 	// pooled-vs-unpooled equivalence suite uses it to drive the original

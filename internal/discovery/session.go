@@ -4,7 +4,6 @@ import (
 	"errors"
 	"time"
 
-	"setdiscovery/internal/cache"
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/grouptest"
 	"setdiscovery/internal/tree"
@@ -85,12 +84,6 @@ type Session struct {
 	inBatch       bool
 	contradiction bool
 
-	// memoKeys is the trail of collection-memo keys this session's selections
-	// visited (hits and misses alike), capped at memoTrailCap. Snapshotting
-	// exports the corresponding entries as a memo delta, so a migrated
-	// session warms its destination's memo along its own discovery path.
-	memoKeys []cache.Key
-
 	state   sessionState
 	pending dataset.Entity
 	confirm *dataset.Set
@@ -99,8 +92,8 @@ type Session struct {
 	// pendingSub/pendingSem hold the suspended set-valued question of a
 	// group session (Options.Group); pending is unused in that mode. Group
 	// sessions run one subset question per interaction — the batch slice
-	// above stays empty — and bypass every entity-keyed memo (collection
-	// memo and batch scheduler alike): selection and partition run direct.
+	// above stays empty — and bypass the batch scheduler's entity-keyed
+	// memos: selection and partition run direct.
 	pendingSub []dataset.Entity
 	pendingSem grouptest.Semantics
 }

@@ -308,8 +308,8 @@ func (rt *Router) sweepOwnersLocked(now time.Time) {
 //
 // The new engine is also warmed: for every collection an established peer
 // serves, the peer's hot selection-cache shard is copied over (GET → PUT
-// /v1/cache/shard), so the first sessions the newcomer serves hit a
-// populated memo instead of paying the cold-start selection cost. Warming
+// /v1/cache/shard), so the first sessions the newcomer serves hit populated
+// lookahead caches instead of paying the cold-start selection cost. Warming
 // is best-effort performance state — failures are logged, never returned.
 func (rt *Router) AddBackend(name, rawURL string) error {
 	if name == "" {

@@ -11,7 +11,7 @@ import (
 )
 
 // warmEngine resolves one session per target directly against an engine, so
-// its collection memo holds every popular prefix state.
+// its lookahead cache holds every popular prefix state.
 func warmEngine(t *testing.T, e *engine) {
 	t.Helper()
 	for _, name := range e.c.Names() {
@@ -27,8 +27,9 @@ func warmEngine(t *testing.T, e *engine) {
 
 // TestAddBackendWarmsFromPeer is the fleet-warming acceptance pin: an engine
 // added to a router with an established peer receives the peer's selection-
-// cache shard, and its first session over a popular prefix serves with memo
-// hits and the byte-identical question sequence a cold twin computes.
+// cache shard, and its first session over a popular prefix serves from the
+// imported lookahead entries alone — hits, no misses — with the
+// byte-identical question sequence a cold twin computes.
 func TestAddBackendWarmsFromPeer(t *testing.T) {
 	warm := newEngine(t)
 	warmEngine(t, warm)
@@ -64,7 +65,7 @@ func TestAddBackendWarmsFromPeer(t *testing.T) {
 	wantAsked, wantRes := fullSequence(t, cold.ts.URL, server.CreateSessionRequest{}, coldOracle)
 
 	// The warmed engine's first session: identical questions, served with
-	// memo hits instead of computations.
+	// lookahead-cache hits instead of computations.
 	before := fresh.c.SelectionCacheStats()
 	oracle, err := fresh.c.TargetOracle(name)
 	if err != nil {
@@ -79,7 +80,7 @@ func TestAddBackendWarmsFromPeer(t *testing.T) {
 	}
 	after := fresh.c.SelectionCacheStats()
 	if after.Hits-before.Hits < 1 {
-		t.Fatalf("warmed engine served its first session without memo hits: before %+v after %+v", before, after)
+		t.Fatalf("warmed engine served its first session without cache hits: before %+v after %+v", before, after)
 	}
 	if after.Computed != before.Computed {
 		t.Fatalf("warmed engine computed %d selections on the popular prefix, want 0",

@@ -3,6 +3,8 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -314,9 +316,9 @@ func TestCompatGroupSessionLegacyRoutes(t *testing.T) {
 }
 
 // TestCompatPreBumpSnapshotImport: snapshot envelopes produced before the
-// group version bump (version-1 delta-less sessions, version-2
-// shared-selection sessions) must keep importing over both surfaces — a
-// fleet mid-upgrade migrates old sessions onto new engines.
+// group version bump (version-1 delta-less sessions, version-2 memo-delta
+// sessions written by earlier releases) must keep importing over both
+// surfaces — a fleet mid-upgrade migrates old sessions onto new engines.
 func TestCompatPreBumpSnapshotImport(t *testing.T) {
 	_, ts, c := newTestServer(t)
 	oracle, err := c.TargetOracle("S4")
@@ -339,9 +341,16 @@ func TestCompatPreBumpSnapshotImport(t *testing.T) {
 		}
 		return snap
 	}
+	// Version 2 is no longer written: its envelope is the fixture an
+	// earlier release wrote for the same session (paper collection, first
+	// question answered for S4).
+	v2, err := os.ReadFile(filepath.Join("..", "..", "testdata", "snapshot-v2-memo-delta.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	envelopes := map[string][]byte{
-		"v1-delta-less":       mk(setdiscovery.WithSharedSelection(false)),
-		"v2-shared-selection": mk(),
+		"v1-delta-less":       mk(),
+		"v2-shared-selection": v2,
 	}
 	for name, snap := range envelopes {
 		for _, prefix := range []string{"", "/v1"} {

@@ -125,19 +125,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	counter("setdiscovery_selection_cache_hits_total",
-		"Selections served from the collection-wide memo.",
+		"Lookahead-cache lookups answered from the cache.",
 		func(cs CacheStats) float64 { return float64(cs.Hits) })
 	counter("setdiscovery_selection_cache_misses_total",
-		"Selections computed because the memo had no entry.",
+		"Lookahead-cache lookups that found no entry and computed.",
 		func(cs CacheStats) float64 { return float64(cs.Misses) })
 	counter("setdiscovery_selection_cache_evictions_total",
-		"Memo entries evicted by the bounded store.",
+		"Lookahead-cache entries evicted by the bounded stores.",
 		func(cs CacheStats) float64 { return float64(cs.Evictions) })
-	counter("setdiscovery_selection_cache_coalesced_total",
-		"Selections that waited on a concurrent computation instead of recomputing.",
-		func(cs CacheStats) float64 { return float64(cs.Coalesced) })
 
-	m.family("setdiscovery_selection_cache_entries", "Live memo entries per collection.", "gauge")
+	m.family("setdiscovery_selection_cache_entries", "Live lookahead-cache entries per collection.", "gauge")
 	for _, c := range rows {
 		m.sample("setdiscovery_selection_cache_entries", fmt.Sprintf(`collection=%q`, escapeLabel(c.name)), float64(c.cache.Entries))
 	}

@@ -122,10 +122,11 @@ func WithFaultHook(hook func(*http.Request) error) Option {
 // WithCachePersist stores selection-cache shards under dir: Register loads
 // each collection's persisted shard (when one exists and matches the
 // collection's content fingerprint), and PersistCaches writes the current
-// hottest entries back — so a restarted server resumes with a warm selection
-// memo instead of recomputing the popular prefix states from scratch
+// hottest entries back — so a restarted server resumes with warm lookahead
+// caches instead of recomputing the popular prefix states from scratch
 // (setdiscd wires -cache-persist through here). Load failures are logged and
-// ignored: a stale or foreign shard costs a cold start, never correctness.
+// ignored: a stale, foreign or version-1 shard costs a cold start, never
+// correctness.
 func WithCachePersist(dir string) Option {
 	return func(s *Server) { s.persistDir = dir }
 }
@@ -201,7 +202,7 @@ func (s *Server) shardPath(name string) string {
 	return filepath.Join(s.persistDir, url.PathEscape(name)+".sdcs")
 }
 
-// loadPersistedShard warms a freshly registered collection's selection memo
+// loadPersistedShard warms a freshly registered collection's lookahead caches
 // from its persisted shard, when cache persistence is configured and a shard
 // exists. Failures are logged and swallowed: the shard is advisory
 // performance state, and a corrupt or foreign one must not block startup.
@@ -443,7 +444,7 @@ func (s *Server) handleExportCacheShard(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleImportCacheShard serves PUT /v1/cache/shard?collection=NAME: merge a
-// binary shard body into the collection's selection memo. Shards from a
+// binary shard body into the collection's lookahead caches. Shards from a
 // different collection (content-fingerprint mismatch) or corrupted bodies are
 // rejected; a valid import reports how many entries landed.
 func (s *Server) handleImportCacheShard(w http.ResponseWriter, r *http.Request) {

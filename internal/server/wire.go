@@ -272,10 +272,11 @@ type CollectionStats struct {
 	Cache    CacheStats `json:"cache"`
 }
 
-// CacheStats reports a collection's selection-cache fabric counters: how many
-// selections were served from the collection-wide memo (Hits) or waited on a
-// concurrent computation (Coalesced) instead of being computed, and how the
-// bounded store is doing (Entries, Evictions).
+// CacheStats reports a collection's selection-cache fabric counters,
+// aggregated over its lookahead caches (setdiscovery.SelectionCacheStats):
+// lookups served from a cache (Hits) or computed (Misses), and how the
+// bounded stores are doing (Entries, Evictions). Coalesced is always 0; it
+// remains so existing clients keep decoding.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -285,7 +286,8 @@ type CacheStats struct {
 }
 
 // CacheShardImportResponse acknowledges PUT /v1/cache/shard: how many warm
-// selection-cache entries were merged into the named collection's memo.
+// selection-cache entries were merged into the named collection's lookahead
+// caches.
 type CacheShardImportResponse struct {
 	Collection string `json:"collection"`
 	Imported   int    `json:"imported"`

@@ -154,7 +154,8 @@ func abs(x int) int {
 //	gaink-memo           gain-k with memoisation (ablation)
 //
 // m is the cost metric for the lookahead strategies; k and q are ignored by
-// strategies that do not use them.
+// strategies that do not use them. A beam width q < 1 is an error for the
+// beamed variants, which cannot run without one.
 func New(name string, m cost.Metric, k, q int) (Factory, error) {
 	switch strings.ToLower(name) {
 	case "most-even", "mosteven":
@@ -168,8 +169,14 @@ func New(name string, m cost.Metric, k, q int) (Factory, error) {
 	case "klp", "k-lp":
 		return NewKLP(m, k), nil
 	case "klple", "k-lple":
+		if q < 1 {
+			return nil, fmt.Errorf("strategy: %s requires q >= 1, got %d", name, q)
+		}
 		return NewKLPLE(m, k, q), nil
 	case "klplve", "k-lplve":
+		if q < 1 {
+			return nil, fmt.Errorf("strategy: %s requires q >= 1, got %d", name, q)
+		}
 		return NewKLPLVE(m, k, q), nil
 	case "gaink", "gain-k":
 		return NewGainK(k), nil

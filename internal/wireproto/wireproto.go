@@ -55,6 +55,12 @@ const MaxFrame = 64 << 20
 // crc (4).
 const minFrame = 6
 
+// frameChunk is what ReadFrame allocates for a body before any of it has
+// arrived. Larger bodies grow as their bytes arrive, so a length prefix alone
+// cannot make the reader allocate MaxFrame; a body of at most frameChunk
+// bytes still costs exactly one allocation.
+const frameChunk = 64 << 10
+
 // FrameType identifies a frame's payload layout.
 type FrameType uint8
 
@@ -496,14 +502,23 @@ func ReadFrame(r io.Reader) (Message, error) {
 	if n < minFrame || n > MaxFrame {
 		return nil, badFrame("frame length %d out of range", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, badFrame("truncated frame body")
+	body := make([]byte, min(int(n), frameChunk))
+	for read := 0; ; {
+		m, err := io.ReadFull(r, body[read:])
+		read += m
+		if err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				return nil, badFrame("truncated frame body")
+			}
+			return nil, err
 		}
-		return nil, err
+		if read == int(n) {
+			return DecodeFrame(body)
+		}
+		// The buffer is full and more is due: at most double it, so the
+		// allocation never runs ahead of the bytes received.
+		body = append(body, make([]byte, min(int(n)-read, read))...)
 	}
-	return DecodeFrame(body)
 }
 
 // DecodeFrame decodes one frame body (everything after the length prefix),

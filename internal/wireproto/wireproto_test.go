@@ -2,12 +2,16 @@ package wireproto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
 	"net"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -121,6 +125,44 @@ func TestFrameStreamConcatenation(t *testing.T) {
 	}
 	if _, err := ReadFrame(r); err != io.EOF {
 		t.Fatalf("after last frame: got %v, want io.EOF", err)
+	}
+}
+
+// TestReadFrameLengthBomb: a length prefix claiming MaxFrame, followed by
+// nothing, must be rejected without the reader allocating anywhere near what
+// the prefix claims.
+func TestReadFrameLengthBomb(t *testing.T) {
+	var prefix [4]byte
+	binary.BigEndian.PutUint32(prefix[:], MaxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(prefix[:]))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("length bomb: got %v, want ErrBadFrame", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("length bomb allocated %d bytes before failing, want < 1 MiB", alloc)
+	}
+}
+
+// TestReadFrameGrowsLargeBodies: a body larger than the up-front chunk,
+// delivered in small reads, still decodes whole.
+func TestReadFrameGrowsLargeBodies(t *testing.T) {
+	want := &Create{Channel: 3, Collection: strings.Repeat("x", 5*frameChunk+17)}
+	buf, err := AppendFrame(nil, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFrame(iotest.HalfReader(bytes.NewReader(buf)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("large frame changed in the round trip")
+	}
+	if _, err := ReadFrame(bytes.NewReader(buf[:len(buf)-1])); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("truncated large frame: got %v, want ErrBadFrame", err)
 	}
 }
 

@@ -39,15 +39,17 @@
 package setdiscovery
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"setdiscovery/internal/cache"
 	"setdiscovery/internal/cost"
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/discovery"
@@ -78,16 +80,10 @@ type Collection struct {
 
 	// factories caches one strategy factory per distinct strategy
 	// configuration, so every session and build over this collection with
-	// the same options shares that factory's fingerprint caches.
+	// the same options shares that factory's fingerprint caches — the
+	// collection's only cross-session selection memo.
 	mu        sync.Mutex
 	factories map[strategyKey]strategy.Factory
-
-	// memo is the collection-wide selection memo shared by every solo
-	// session (and Discover call) over this collection, regardless of
-	// strategy configuration — an options hash in the key keeps differently
-	// configured sessions from sharing entries. Lazily created; the entry
-	// bound is fixed by whichever configuration touches it first.
-	memo *discovery.SelectionMemo
 }
 
 // strategyKey identifies a strategy configuration; options that do not
@@ -153,9 +149,9 @@ func (c *Collection) groupFactory(cfg config) (grouptest.Factory, error) {
 }
 
 // engineOptions maps a configuration to engine options with a freshly minted
-// strategy instance: a group strategy for group configurations (which bypass
-// the entity-keyed selection memo), an entity strategy wired to the
-// collection memo otherwise.
+// strategy instance: a group strategy for group configurations, an entity
+// strategy drawn from the shared factory (and so sharing its lookahead cache)
+// otherwise.
 func (c *Collection) engineOptions(cfg config) (discovery.Options, error) {
 	if cfg.groupStrategy != "" {
 		gf, err := c.groupFactory(cfg)
@@ -170,56 +166,54 @@ func (c *Collection) engineOptions(cfg config) (discovery.Options, error) {
 	if err != nil {
 		return discovery.Options{}, err
 	}
-	o := discoveryOptions(cfg, f.New())
-	c.attachMemo(cfg, &o)
-	return o, nil
+	return discoveryOptions(cfg, f.New()), nil
 }
 
-// selectionMemo returns the collection-wide selection memo, creating it on
-// first use with the given entry bound (≤ 0 selects the default, 1M). The
-// bound is fixed at creation: later callers share the memo whatever bound
-// they ask for, mirroring how a strategy factory's cache bound is fixed by
-// its first configuration.
-func (c *Collection) selectionMemo(bound int) *discovery.SelectionMemo {
+// cachingFactory is a strategy factory whose siblings share a lookahead
+// cache that can be measured, exported and imported: k-LP and its variants,
+// and gain-k (whose unmemoised variant reports an empty cache).
+type cachingFactory interface {
+	strategy.Factory
+	CacheStats() cache.Stats
+	ExportCache(max int) []strategy.CacheEntry
+	ImportCache(entries []strategy.CacheEntry) error
+}
+
+var (
+	_ cachingFactory = (*strategy.KLP)(nil)
+	_ cachingFactory = (*strategy.GainK)(nil)
+)
+
+// cachingFactories returns the collection's factories that keep a lookahead
+// cache, ordered by strategy key so exports are deterministic.
+func (c *Collection) cachingFactories() ([]strategyKey, []cachingFactory) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.memo == nil {
-		c.memo = discovery.NewSelectionMemo(bound)
+	keys := make([]strategyKey, 0, len(c.factories))
+	for k, f := range c.factories {
+		if _, ok := f.(cachingFactory); ok {
+			keys = append(keys, k)
+		}
 	}
-	return c.memo
+	slices.SortFunc(keys, func(a, b strategyKey) int {
+		return cmp.Or(strings.Compare(a.name, b.name), cmp.Compare(a.metric, b.metric),
+			cmp.Compare(a.k, b.k), cmp.Compare(a.q, b.q), cmp.Compare(a.bound, b.bound))
+	})
+	fs := make([]cachingFactory, len(keys))
+	for i, k := range keys {
+		fs[i] = c.factories[k].(cachingFactory)
+	}
+	c.mu.Unlock()
+	return keys, fs
 }
 
-// memoAux hashes the options that change what a selection returns — strategy
-// identity and parameters plus the interaction batch size — into the
-// auxiliary key word, so sessions share a memo entry exactly when they would
-// compute the same result. Halting and backtracking options are deliberately
-// absent: they decide when selections happen, never what they return.
-func memoAux(cfg config) uint64 {
-	batch := cfg.batchSize
-	if batch < 1 {
-		batch = 1 // 0 and 1 both mean one question per interaction
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%d|%d|%d",
-		strings.ToLower(cfg.strategyName), cfg.metric, cfg.k, cfg.q, batch)
-	return h.Sum64()
-}
-
-// attachMemo wires the collection-wide selection memo into engine options
-// when the configuration has shared selection on (the default).
-func (c *Collection) attachMemo(cfg config, o *discovery.Options) {
-	if !cfg.sharedSelection {
-		return
-	}
-	o.Memo = c.selectionMemo(cfg.cacheBound)
-	o.MemoAux = memoAux(cfg)
-}
-
-// SelectionCacheStats reports the collection-wide selection memo's
-// effectiveness: how many selections were served from the memo (Hits) or
-// coalesced onto a concurrent computation versus actually computed, and how
-// the bounded store is doing (Entries, Evictions). Zero before any session
-// ran with shared selection.
+// SelectionCacheStats aggregates the collection's lookahead caches — one per
+// strategy configuration, shared by every session and tree build over it:
+// lookups answered from a cache (Hits) or computed (Misses, equal to
+// Computed), and how the stores are doing (Entries, Evictions). A cache
+// lookup happens at every node of the k-step lookahead, not once per
+// question. Coalesced is always zero; it remains for callers of the
+// collection-wide memo this cache replaced. Zero before any lookahead
+// strategy ran.
 type SelectionCacheStats struct {
 	Hits      int64
 	Misses    int64
@@ -229,51 +223,76 @@ type SelectionCacheStats struct {
 	Entries   int
 }
 
-// SelectionCacheStats returns the collection's shared-selection counters.
+// SelectionCacheStats returns the collection's lookahead-cache counters.
 func (c *Collection) SelectionCacheStats() SelectionCacheStats {
-	c.mu.Lock()
-	m := c.memo
-	c.mu.Unlock()
-	if m == nil {
-		return SelectionCacheStats{}
+	var out SelectionCacheStats
+	_, fs := c.cachingFactories()
+	for _, f := range fs {
+		st := f.CacheStats()
+		out.Hits += st.Hits
+		out.Misses += st.Misses
+		out.Evictions += st.Evictions
+		out.Entries += st.Entries
 	}
-	st := m.Stats()
-	return SelectionCacheStats{
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Evictions: st.Evictions,
-		Coalesced: st.Coalesced,
-		Computed:  st.Computed,
-		Entries:   st.Entries,
-	}
+	out.Computed = out.Misses
+	return out
 }
 
-// ExportSelectionCache writes a warm shard — up to max of the selection
-// memo's entries, recently used first (max ≤ 0 exports everything) — in a
-// versioned binary format guarded by the collection's content fingerprint.
-// Import it with ImportSelectionCache on another instance serving the same
-// collection (the router does this to warm a freshly added engine from a
-// healthy peer) or persist it next to prebuilt trees so a restarted server
-// skips the warm-up cliff. Options are applied only for their cache bound,
-// should the export be what creates the memo.
+// ExportSelectionCache writes a warm shard — up to max lookahead-cache
+// entries, recently used first (max ≤ 0 exports everything) — in a versioned
+// binary format guarded by the collection's content fingerprint. Each
+// strategy configuration's entries travel under its strategy key (name,
+// metric, k, q). Import it with ImportSelectionCache on another instance
+// serving the same collection (the router does this to warm a freshly added
+// engine from a healthy peer) or persist it so a restarted server skips the
+// warm-up cliff. Options are accepted for symmetry with ImportSelectionCache
+// and ignored: exporting never creates a cache.
 func (c *Collection) ExportSelectionCache(w io.Writer, max int, opts ...Option) error {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
 	if max <= 0 {
 		max = int(^uint(0) >> 1)
 	}
-	_, err := w.Write(discovery.EncodeMemoShard(c.c, c.selectionMemo(cfg.cacheBound), max))
+	keys, fs := c.cachingFactories()
+	var sections []discovery.CacheSection
+	var last strategyKey
+	for i, f := range fs {
+		// One section per strategy key: of factories differing only in
+		// their cache bound, the first with entries is exported.
+		k := keys[i]
+		if len(sections) > 0 && last == k.withoutBound() {
+			continue
+		}
+		entries := f.ExportCache(max)
+		if len(entries) == 0 {
+			continue
+		}
+		max -= len(entries)
+		last = k.withoutBound()
+		sections = append(sections, discovery.CacheSection{
+			Strategy: k.name, Metric: k.metric, K: k.k, Q: k.q, Entries: entries,
+		})
+		if max == 0 {
+			break
+		}
+	}
+	_, err := w.Write(discovery.EncodeCacheShard(c.c, sections))
 	return err
 }
 
+// withoutBound returns the key with the cache bound cleared: the part of a
+// strategy key a shard carries.
+func (k strategyKey) withoutBound() strategyKey {
+	k.bound = 0
+	return k
+}
+
 // ImportSelectionCache merges a shard written by ExportSelectionCache into
-// the collection's selection memo and returns the number of entries
-// imported. The shard must come from a collection with identical content;
-// foreign or corrupted shards are rejected with ErrBadSnapshot. Options are
-// applied only for their cache bound, which matters when the import is what
-// creates the memo (a freshly added engine being warmed before any traffic).
+// the collection's lookahead caches and returns the number of entries
+// imported. Each section lands in the factory its strategy key picks,
+// created on first use under the options' cache bound (a freshly added
+// engine is warmed before any traffic), so the sessions that later share
+// that factory start warm. The shard must come from a collection with
+// identical content; foreign, corrupted or version-1 shards are rejected
+// with ErrBadSnapshot.
 func (c *Collection) ImportSelectionCache(r io.Reader, opts ...Option) (int, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
@@ -283,9 +302,25 @@ func (c *Collection) ImportSelectionCache(r io.Reader, opts ...Option) (int, err
 	if err != nil {
 		return 0, err
 	}
-	n, err := discovery.DecodeMemoShard(c.c, c.selectionMemo(cfg.cacheBound), data)
+	sections, err := discovery.DecodeCacheShard(c.c, data)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
+	}
+	n := 0
+	for _, s := range sections {
+		cfg.strategyName, cfg.metric, cfg.k, cfg.q = s.Strategy, s.Metric, s.K, s.Q
+		f, err := c.factory(cfg)
+		if err != nil {
+			return n, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
+		}
+		cf, ok := f.(cachingFactory)
+		if !ok {
+			return n, badSnapshot("strategy %q keeps no selection cache", s.Strategy)
+		}
+		if err := cf.ImportCache(s.Entries); err != nil {
+			return n, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
+		}
+		n += len(s.Entries)
 	}
 	return n, nil
 }
@@ -359,16 +394,15 @@ func (c *Collection) Internal() *dataset.Collection { return c.c }
 
 // config collects option values.
 type config struct {
-	strategyName    string
-	metric          Metric
-	k, q            int
-	maxQuestions    int
-	batchSize       int
-	parallelism     int
-	cacheBound      int
-	backtrack       bool
-	confirm         bool
-	sharedSelection bool
+	strategyName string
+	metric       Metric
+	k, q         int
+	maxQuestions int
+	batchSize    int
+	parallelism  int
+	cacheBound   int
+	backtrack    bool
+	confirm      bool
 
 	// groupStrategy switches sessions to set-valued (group-testing)
 	// questions; empty selects the classic entity-question mode.
@@ -379,8 +413,7 @@ type config struct {
 }
 
 func defaultConfig() config {
-	return config{strategyName: "klp", metric: AverageDepth, k: 2, q: 10,
-		sharedSelection: true}
+	return config{strategyName: "klp", metric: AverageDepth, k: 2, q: 10}
 }
 
 // Option configures BuildTree and Discover.
@@ -421,15 +454,16 @@ func WithBacktracking() Option {
 // session asks one question at a time.
 func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n } }
 
-// WithCacheBound caps the strategy's shared lookahead cache at
-// (approximately) n entries with clock eviction, instead of the default
-// unbounded growth. Sessions and builds over one collection with equal
-// options — including the bound — share one factory, so the cap is
-// per-configuration, not per-session. Evicted entries are recomputed, never
-// wrong: selections are identical with or without a bound. Set it in
-// long-running serving processes (setdiscd exposes it as -cache-bound) so
-// memory stays flat no matter how many sub-collections the workload
-// touches; n ≤ 0 means unbounded.
+// WithCacheBound caps the strategy's shared lookahead cache — the
+// collection's only cross-session selection memo, and what
+// ExportSelectionCache ships — at (approximately) n entries with clock
+// eviction, instead of the default unbounded growth. Sessions and builds
+// over one collection with equal options — including the bound — share one
+// factory, so the cap is per-configuration, not per-session. Evicted entries
+// are recomputed, never wrong: selections are identical with or without a
+// bound. Set it in long-running serving processes (setdiscd exposes it as
+// -cache-bound) so memory stays flat no matter how many sub-collections the
+// workload touches; n ≤ 0 means unbounded.
 func WithCacheBound(n int) Option {
 	return func(c *config) {
 		// Normalised so every "unbounded" spelling shares one factory key.
@@ -448,9 +482,9 @@ func WithCacheBound(n int) Option {
 // and contaminated-pool screening. Recognised names: "halving" (greedy
 // even-split subsets, ~⌈log₂ n⌉ rounds to a single target) and "additive"
 // (bisect-style multi-culprit search honouring WithGroupConstraint
-// dependencies). Group sessions ignore WithStrategy, WithBatchSize and the
-// shared-selection memo; the oracle must implement GroupOracle. The empty
-// name restores the default entity-question mode.
+// dependencies). Group sessions ignore WithStrategy and WithBatchSize; the
+// oracle must implement GroupOracle. The empty name restores the default
+// entity-question mode.
 func WithGroupStrategy(name string) Option {
 	return func(c *config) { c.groupStrategy = name }
 }
@@ -464,21 +498,6 @@ func WithGroupConstraint(ifEntity, thenEntity string) Option {
 	return func(c *config) {
 		c.groupConstraints = append(c.groupConstraints, [2]string{ifEntity, thenEntity})
 	}
-}
-
-// WithSharedSelection toggles the collection-wide selection memo (default
-// on): solo sessions and Discover calls over one collection memoise their
-// strategy selections by candidate-set fingerprint, so N sessions parked at
-// the same state — concurrently or over time — pay one lookahead computation
-// total, with concurrent misses coalescing into a single flight. Selections
-// are pure functions of the candidate set and the selection-relevant options,
-// so shared results are byte-identical to unshared ones (test-pinned);
-// sessions with "don't know" answers bypass the memo automatically. The memo
-// is bounded (WithCacheBound, same default as the strategy caches) with clock
-// eviction, so memory stays flat. Turn it off for one-shot workloads that
-// would only pollute the memo, or to A/B the fabric itself.
-func WithSharedSelection(on bool) Option {
-	return func(c *config) { c.sharedSelection = on }
 }
 
 // Tree is a constructed decision tree over a collection. It is immutable

@@ -3,6 +3,8 @@ package setdiscovery
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,7 +12,7 @@ import (
 
 // unsureFirstOracle answers "don't know" to its first question, then defers
 // to the inner target oracle — forcing the exclusion path, which must bypass
-// the shared memo.
+// the lookahead cache's root lookup.
 type unsureFirstOracle struct {
 	inner Oracle
 	first bool
@@ -64,29 +66,35 @@ func discoverAsked(t *testing.T, c *Collection, mkOracle func() Oracle, opts ...
 	return rec.asked, res
 }
 
-// TestSharedSelectionMatchesUnshared is the tentpole equivalence pin at the
-// public layer: across strategies, "don't know" answers and backtracking,
-// discovery with the collection-wide selection memo (the default) asks
-// byte-identical question sequences to WithSharedSelection(false) — and a
-// second shared run over the now-warm memo (the pure hit path) stays
-// identical too.
-func TestSharedSelectionMatchesUnshared(t *testing.T) {
-	optsets := [][]Option{
-		nil,
-		{WithStrategy("klple"), WithK(3), WithQ(5)},
-		{WithStrategy("klplve"), WithK(3), WithQ(5)},
-		{WithStrategy("infogain")},
-		{WithStrategy("most-even"), WithBatchSize(3)},
+// freshCollection builds a paper collection with cold lookahead caches.
+func freshCollection(t testing.TB) *Collection {
+	t.Helper()
+	c, err := NewCollection(paperSets())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, opts := range optsets {
-		shared, err := NewCollection(paperSets())
-		if err != nil {
-			t.Fatal(err)
-		}
-		unshared, err := NewCollection(paperSets())
-		if err != nil {
-			t.Fatal(err)
-		}
+	return c
+}
+
+// TestSharedSelectionMatchesUnshared is the sharing-equivalence pin at the
+// public layer: across strategies and multiple-choice batches, discovery
+// over a collection whose lookahead caches earlier sessions already filled
+// asks byte-identical question sequences to the same discovery on a fresh
+// collection — and a second run over the now-warm caches (the pure hit path)
+// stays identical too.
+func TestSharedSelectionMatchesUnshared(t *testing.T) {
+	optsets := []struct {
+		opts    []Option
+		caching bool // the strategy keeps a lookahead cache
+	}{
+		{nil, true},
+		{[]Option{WithStrategy("klple"), WithK(3), WithQ(5)}, true},
+		{[]Option{WithStrategy("klplve"), WithK(3), WithQ(5)}, true},
+		{[]Option{WithStrategy("infogain")}, false},
+		{[]Option{WithStrategy("most-even"), WithBatchSize(3)}, false},
+	}
+	for _, tc := range optsets {
+		shared := freshCollection(t)
 		for _, name := range shared.Names() {
 			mk := func(c *Collection) func() Oracle {
 				return func() Oracle {
@@ -97,10 +105,10 @@ func TestSharedSelectionMatchesUnshared(t *testing.T) {
 					return o
 				}
 			}
-			off := append(append([]Option(nil), opts...), WithSharedSelection(false))
-			wantAsked, want := discoverAsked(t, unshared, mk(unshared), off...)
-			for run := 0; run < 2; run++ { // run 1 replays against a warm memo
-				gotAsked, got := discoverAsked(t, shared, mk(shared), opts...)
+			unshared := freshCollection(t)
+			wantAsked, want := discoverAsked(t, unshared, mk(unshared), tc.opts...)
+			for run := 0; run < 2; run++ { // run 1 replays against warm caches
+				gotAsked, got := discoverAsked(t, shared, mk(shared), tc.opts...)
 				if !reflect.DeepEqual(gotAsked, wantAsked) {
 					t.Fatalf("%s run %d: shared asked %v, unshared asked %v", name, run, gotAsked, wantAsked)
 				}
@@ -111,27 +119,22 @@ func TestSharedSelectionMatchesUnshared(t *testing.T) {
 				}
 			}
 		}
-		if st := shared.SelectionCacheStats(); st.Hits == 0 || st.Entries == 0 {
-			t.Fatalf("shared collection never hit its memo: %+v", st)
+		st := shared.SelectionCacheStats()
+		if tc.caching && (st.Hits == 0 || st.Entries == 0) {
+			t.Fatalf("%v: shared collection never hit its lookahead cache: %+v", tc.opts, st)
 		}
-		if st := unshared.SelectionCacheStats(); st.Entries != 0 {
-			t.Fatalf("WithSharedSelection(false) populated the memo: %+v", st)
+		if !tc.caching && st != (SelectionCacheStats{}) {
+			t.Fatalf("%v: cacheless strategy moved the cache counters: %+v", tc.opts, st)
 		}
 	}
 }
 
 // TestSharedSelectionWithUnknownsAndBacktracking covers the paths that must
-// bypass or replay through the memo without changing a single question:
-// exclusions (memo bypass) and §6 confirm-and-recover.
+// bypass or replay through the shared lookahead cache without changing a
+// single question: exclusions (which bypass the root lookup) and §6
+// confirm-and-recover.
 func TestSharedSelectionWithUnknownsAndBacktracking(t *testing.T) {
-	shared, err := NewCollection(paperSets())
-	if err != nil {
-		t.Fatal(err)
-	}
-	unshared, err := NewCollection(paperSets())
-	if err != nil {
-		t.Fatal(err)
-	}
+	shared := freshCollection(t)
 	for _, name := range shared.Names() {
 		inner := func(c *Collection) Oracle {
 			o, err := c.TargetOracle(name)
@@ -153,8 +156,8 @@ func TestSharedSelectionWithUnknownsAndBacktracking(t *testing.T) {
 			}, []Option{WithBacktracking()}},
 		}
 		for _, tc := range cases {
-			off := append(append([]Option(nil), tc.opts...), WithSharedSelection(false))
-			wantAsked, want := discoverAsked(t, unshared, tc.mk(unshared), off...)
+			unshared := freshCollection(t)
+			wantAsked, want := discoverAsked(t, unshared, tc.mk(unshared), tc.opts...)
 			gotAsked, got := discoverAsked(t, shared, tc.mk(shared), tc.opts...)
 			if !reflect.DeepEqual(gotAsked, wantAsked) {
 				t.Fatalf("%s/%s: shared asked %v, unshared asked %v", name, tc.label, gotAsked, wantAsked)
@@ -168,12 +171,10 @@ func TestSharedSelectionWithUnknownsAndBacktracking(t *testing.T) {
 
 // TestExportImportSelectionCache pins the warm-shard surface: a warmed
 // collection's shard imports into a same-content twin, which then serves a
-// session with zero computed selections and the reference question sequence.
+// session from the imported lookahead entries — hits, no misses — with the
+// reference question sequence.
 func TestExportImportSelectionCache(t *testing.T) {
-	warm, err := NewCollection(paperSets())
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := freshCollection(t)
 	name := warm.Names()[len(warm.Names())-1]
 	mk := func(c *Collection) func() Oracle {
 		return func() Oracle {
@@ -190,23 +191,30 @@ func TestExportImportSelectionCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cold, err := NewCollection(paperSets())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := freshCollection(t)
 	n, err := cold.ImportSelectionCache(bytes.NewReader(shard.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 || cold.SelectionCacheStats().Entries != n {
-		t.Fatalf("imported %d entries, stats %+v", n, cold.SelectionCacheStats())
+	if n == 0 || n != warm.SelectionCacheStats().Entries || cold.SelectionCacheStats().Entries != n {
+		t.Fatalf("imported %d entries, warm stats %+v, cold stats %+v",
+			n, warm.SelectionCacheStats(), cold.SelectionCacheStats())
 	}
 	gotAsked, _ := discoverAsked(t, cold, mk(cold))
 	if !reflect.DeepEqual(gotAsked, wantAsked) {
 		t.Fatalf("warmed twin asked %v, want %v", gotAsked, wantAsked)
 	}
-	if st := cold.SelectionCacheStats(); st.Computed != 0 {
-		t.Fatalf("warmed twin computed %d selections, want 0 (stats %+v)", st.Computed, st)
+	if st := cold.SelectionCacheStats(); st.Hits == 0 || st.Computed != 0 || st.Misses != st.Computed {
+		t.Fatalf("warmed twin stats %+v, want hits and zero computed", st)
+	}
+
+	// A truncated export carries exactly its cap.
+	var one bytes.Buffer
+	if err := warm.ExportSelectionCache(&one, 1); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := freshCollection(t).ImportSelectionCache(bytes.NewReader(one.Bytes())); err != nil || n != 1 {
+		t.Fatalf("one-entry shard: imported %d, err %v", n, err)
 	}
 
 	// A shard from a different collection is rejected with ErrBadSnapshot.
@@ -219,78 +227,90 @@ func TestExportImportSelectionCache(t *testing.T) {
 	if _, err := foreign.ImportSelectionCache(bytes.NewReader(shard.Bytes())); !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("foreign shard: err %v, want ErrBadSnapshot", err)
 	}
-	// So is garbage.
+	// So is a version-1 shard of the collection-wide memo this cache
+	// replaced, and garbage.
+	v1 := bytes.Clone(shard.Bytes())
+	v1[4] = 1
+	if _, err := cold.ImportSelectionCache(bytes.NewReader(v1)); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("version-1 shard: err %v, want ErrBadSnapshot", err)
+	}
 	if _, err := cold.ImportSelectionCache(strings.NewReader("not a shard")); !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("garbage shard: err %v, want ErrBadSnapshot", err)
 	}
 }
 
-// TestSnapshotCarriesMemoDelta pins the migration-warming layer: a session
-// snapshot taken under shared selection carries the memo entries along its
-// own path, and restoring it on a cold twin warms the twin's memo — first
-// question identical, served from the imported entries.
-func TestSnapshotCarriesMemoDelta(t *testing.T) {
-	src, err := NewCollection(paperSets())
+// v2Fixture returns a version-2 session envelope with a memo-delta section,
+// written by an earlier release: a default-option session over the paper
+// collection, suspended after answering its first question truthfully for
+// S4.
+func v2Fixture(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "snapshot-v2-memo-delta.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	name := src.Names()[0]
-	oracle, err := src.TargetOracle(name)
+	return data
+}
+
+// TestV2SnapshotRestoresLikeV1 pins the read-only version-2 envelope: the
+// fixture restores, skips its memo delta, re-snapshots as version 1, and
+// asks the same remaining questions as the version-1 envelope of the same
+// session.
+func TestV2SnapshotRestoresLikeV1(t *testing.T) {
+	v2 := v2Fixture(t)
+	if v2[4] != 2 {
+		t.Fatalf("fixture version = %d, want 2", v2[4])
+	}
+	src := freshCollection(t)
+	oracle, err := src.TargetOracle("S4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := src.NewSession(nil)
+	twin, err := src.NewSession(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Answer two questions so the trail has entries, then snapshot.
-	for i := 0; i < 2 && !s.Done(); i++ {
-		q, done := s.Next()
-		if done {
-			break
-		}
-		if err := s.Answer(oracle.Answer(q.Entity)); err != nil {
+	if q, done := twin.Next(); !done && !q.IsConfirm() {
+		if err := twin.Answer(oracle.Answer(q.Entity)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap, err := s.Snapshot()
+	v1, err := twin.Snapshot()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if v1[4] != 1 {
+		t.Fatalf("entity session snapshot version = %d, want 1", v1[4])
 	}
 
-	dst, err := NewCollection(paperSets())
-	if err != nil {
-		t.Fatal(err)
+	var rest [2][]string
+	for i, snap := range [][]byte{v1, v2} {
+		dst := freshCollection(t)
+		restored, err := dst.RestoreSession(snap)
+		if err != nil {
+			t.Fatalf("restoring version %d: %v", snap[4], err)
+		}
+		if st := dst.SelectionCacheStats(); st.Entries != 0 {
+			t.Fatalf("restoring version %d imported cache entries: %+v", snap[4], st)
+		}
+		again, err := restored.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again[4] != 1 {
+			t.Fatalf("version %d re-snapshots as version %d, want 1", snap[4], again[4])
+		}
+		o, err := dst.TargetOracle("S4")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest[i] = driveSession(t, restored, o)
+		res, err := restored.Result()
+		if err != nil || res.Target != "S4" {
+			t.Fatalf("version %d finished with %+v, %v; want S4", snap[4], res, err)
+		}
 	}
-	restored, err := dst.RestoreSession(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := dst.SelectionCacheStats(); st.Entries == 0 {
-		t.Fatalf("restore imported no memo entries: %+v", st)
-	}
-	// Both sessions finish with identical remaining questions.
-	dstOracle, err := dst.TargetOracle(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcRest := driveSession(t, s, oracle)
-	dstRest := driveSession(t, restored, dstOracle)
-	if !reflect.DeepEqual(srcRest, dstRest) {
-		t.Fatalf("restored session asked %v, original asked %v", dstRest, srcRest)
-	}
-
-	// A snapshot taken under WithSharedSelection(false) has no delta and
-	// still restores — on either configuration.
-	plain, err := src.NewSession(nil, WithSharedSelection(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	psnap, err := plain.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dst.RestoreSession(psnap); err != nil {
-		t.Fatal(err)
+	if len(rest[0]) == 0 || !reflect.DeepEqual(rest[0], rest[1]) {
+		t.Fatalf("version 2 asked %v, version-1 twin asked %v", rest[1], rest[0])
 	}
 }

@@ -31,29 +31,27 @@ import (
 //	"SDSS" | version (1) | kind | collection content fingerprint (16 bytes)
 //	      | configuration (loop and batch kinds) | state payload
 //
-// Version 2 adds an optional memo-delta section — the selection-memo entries
-// the session visited along its own discovery path, so a migrated session
-// warms its destination's selection cache (see WithSharedSelection). The
-// state payload becomes length-prefixed to delimit it from the delta:
+// Version 2 is read, never written. Earlier releases wrote it for sessions
+// that carried a memo-delta section — entries of a collection-wide selection
+// memo that no longer exists — after a length-prefixed state payload:
 //
 //	"SDSS" | version (2) | kind | fingerprint | configuration
 //	      | state length | state payload | memo delta
 //
+// Decoders restore the state and skip the delta: it was advisory performance
+// state, and the restored session's behaviour never depended on it.
+//
 // Version 3 marks a group-testing session or batch (WithGroupStrategy): the
 // configuration section is followed by a group section — strategy name plus
 // the WithGroupConstraint entity-name pairs — and the state payload carries
-// the suspended set-valued question. Group sessions bypass the selection
-// memo, so a version-3 envelope never carries a memo delta:
+// the suspended set-valued question:
 //
 //	"SDSS" | version (3) | kind | fingerprint | configuration
 //	      | group configuration | state payload
 //
-// Writers emit the lowest sufficient version — 1 whenever there is no delta
-// and no group configuration to carry — so snapshots of entity sessions stay
-// byte-identical to earlier releases; decoders accept all three versions.
-// The delta is advisory performance state: a restoring side validates and
-// imports it into the collection's memo, but the restored session's
-// behaviour never depends on it.
+// Writers emit version 1 unless there is a group configuration to carry, so
+// snapshots of entity sessions stay byte-identical to earlier releases;
+// decoders accept all three versions.
 //
 // The collection fingerprint guards against restoring over a different
 // collection, where set indexes and entity IDs would silently mean something
@@ -66,9 +64,9 @@ import (
 // envelope version.
 const snapshotMagic = "SDSS"
 
-// snapshotVersion is the base envelope version; snapshotVersionDelta marks an
-// envelope whose state payload is length-prefixed and followed by a
-// selection-memo delta; snapshotVersionGroup marks a group-testing envelope
+// snapshotVersion is the base envelope version; snapshotVersionDelta marks a
+// legacy envelope whose state payload is length-prefixed and followed by a
+// memo delta (read only); snapshotVersionGroup marks a group-testing envelope
 // whose configuration is followed by a group section. Decoders reject
 // versions they do not know rather than guessing at layouts.
 const (
@@ -116,29 +114,16 @@ func (s *Session) Snapshot() ([]byte, error) {
 	switch core := s.s.(type) {
 	case *discovery.Session:
 		// Group sessions need the version-3 envelope: restoring one requires
-		// the group section to mint the right strategy. They bypass the
-		// selection memo, so there is never a delta to carry alongside.
+		// the group section to mint the right strategy.
 		if s.cfg.groupStrategy != "" {
 			w := newEnvelopeVersion(snapshotVersionGroup, SnapshotSession, s.c.c.ContentFingerprint())
 			w.config(s.cfg)
 			w.groupConfig(s.cfg)
 			return append(w.buf, core.EncodeState()...), nil
 		}
-		// Sessions that visited shared-selection states carry those memo
-		// entries along as a version-2 delta section; others emit the
-		// byte-identical version-1 envelope of earlier releases.
-		delta, n := core.AppendMemoDelta(nil)
-		if n == 0 {
-			w := newEnvelope(SnapshotSession, s.c.c.ContentFingerprint())
-			w.config(s.cfg)
-			return append(w.buf, core.EncodeState()...), nil
-		}
-		w := newEnvelopeVersion(snapshotVersionDelta, SnapshotSession, s.c.c.ContentFingerprint())
+		w := newEnvelope(SnapshotSession, s.c.c.ContentFingerprint())
 		w.config(s.cfg)
-		state := core.EncodeState()
-		w.buf = binary.AppendUvarint(w.buf, uint64(len(state)))
-		w.buf = append(w.buf, state...)
-		return append(w.buf, delta...), nil
+		return append(w.buf, core.EncodeState()...), nil
 	case *discovery.TreeSession:
 		w := newEnvelope(SnapshotTreeSession, s.c.c.ContentFingerprint())
 		return append(w.buf, core.EncodeState()...), nil
@@ -170,7 +155,7 @@ func (b *Batch) Snapshot() ([]byte, error) {
 // WithCacheBound. Tree-session snapshots must be restored with
 // Tree.RestoreSession instead, batches with RestoreBatch.
 func (c *Collection) RestoreSession(data []byte, opts ...Option) (*Session, error) {
-	cfg, payload, delta, err := c.openEnvelope(data, SnapshotSession, opts)
+	cfg, payload, err := c.openEnvelope(data, SnapshotSession, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -182,11 +167,6 @@ func (c *Collection) RestoreSession(data []byte, opts ...Option) (*Session, erro
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
-	// The delta is applied after the state decoded: a snapshot that fails to
-	// restore must not leave half its cache entries behind.
-	if err := c.applyMemoDelta(cfg, delta); err != nil {
-		return nil, err
-	}
 	return &Session{c: c, s: s, cfg: cfg}, nil
 }
 
@@ -196,16 +176,13 @@ func (c *Collection) RestoreSession(data []byte, opts ...Option) (*Session, erro
 // different collection) is rejected rather than silently walking to a wrong
 // leaf.
 func (t *Tree) RestoreSession(data []byte) (*Session, error) {
-	cfg, payload, delta, err := t.c.openEnvelope(data, SnapshotTreeSession, nil)
+	_, payload, err := t.c.openEnvelope(data, SnapshotTreeSession, nil)
 	if err != nil {
 		return nil, err
 	}
 	s, err := discovery.DecodeTreeSession(t.c.c, t.t, payload)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
-	}
-	if err := t.c.applyMemoDelta(cfg, delta); err != nil {
-		return nil, err
 	}
 	return &Session{c: t.c, s: s, tree: t}, nil
 }
@@ -214,7 +191,7 @@ func (t *Tree) RestoreSession(data []byte) (*Session, error) {
 // this collection. Members resume against a fresh shared scheduler and keep
 // amortising exactly as before the suspension.
 func (c *Collection) RestoreBatch(data []byte, opts ...Option) (*Batch, error) {
-	cfg, payload, delta, err := c.openEnvelope(data, SnapshotBatch, opts)
+	cfg, payload, err := c.openEnvelope(data, SnapshotBatch, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -234,9 +211,6 @@ func (c *Collection) RestoreBatch(data []byte, opts ...Option) (*Batch, error) {
 	b, err := discovery.DecodeBatch(c.c, f, o, payload)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
-	}
-	if err := c.applyMemoDelta(cfg, delta); err != nil {
-		return nil, err
 	}
 	return &Batch{c: c, b: b, cfg: cfg}, nil
 }
@@ -361,13 +335,13 @@ func parseHeader(data []byte) (byte, SnapshotKind, dataset.Fingerprint, []byte, 
 // openEnvelope parses and validates the header against this collection and
 // the expected kind, decodes the embedded configuration (loop and batch
 // kinds) and applies the caller's restore-side options on top. It returns the
-// final configuration, the state payload and — for version-2 envelopes — the
-// memo-delta section (nil for version 1).
-func (c *Collection) openEnvelope(data []byte, want SnapshotKind, opts []Option) (config, []byte, []byte, error) {
+// final configuration and the state payload; a version-2 envelope's memo
+// delta is skipped.
+func (c *Collection) openEnvelope(data []byte, want SnapshotKind, opts []Option) (config, []byte, error) {
 	cfg := defaultConfig()
 	version, kind, fp, rest, err := parseHeader(data)
 	if err != nil {
-		return cfg, nil, nil, err
+		return cfg, nil, err
 	}
 	if kind != want {
 		hint := ""
@@ -379,53 +353,34 @@ func (c *Collection) openEnvelope(data []byte, want SnapshotKind, opts []Option)
 		case SnapshotBatch:
 			hint = " (restore it with Collection.RestoreBatch)"
 		}
-		return cfg, nil, nil, badSnapshot("snapshot holds a %s, not a %s%s", kind, want, hint)
+		return cfg, nil, badSnapshot("snapshot holds a %s, not a %s%s", kind, want, hint)
 	}
 	if got := c.c.ContentFingerprint(); got != fp {
-		return cfg, nil, nil, badSnapshot("snapshot was exported from a different collection")
+		return cfg, nil, badSnapshot("snapshot was exported from a different collection")
 	}
 	if kind != SnapshotTreeSession {
 		if rest, err = readConfig(&cfg, rest); err != nil {
-			return cfg, nil, nil, err
+			return cfg, nil, err
 		}
 		if version == snapshotVersionGroup {
 			if rest, err = readGroupConfig(&cfg, rest); err != nil {
-				return cfg, nil, nil, err
+				return cfg, nil, err
 			}
 		}
 	} else if version == snapshotVersionGroup {
-		return cfg, nil, nil, badSnapshot("tree sessions have no group mode")
+		return cfg, nil, badSnapshot("tree sessions have no group mode")
 	}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var delta []byte
 	if version == snapshotVersionDelta {
 		stateLen, n := binary.Uvarint(rest)
 		if n <= 0 || stateLen > uint64(len(rest)-n) {
-			return cfg, nil, nil, badSnapshot("truncated state length")
+			return cfg, nil, badSnapshot("truncated state length")
 		}
-		rest, delta = rest[n:n+int(stateLen)], rest[n+int(stateLen):]
+		rest = rest[n : n+int(stateLen)]
 	}
-	return cfg, rest, delta, nil
-}
-
-// applyMemoDelta validates a snapshot's memo-delta section and imports it
-// into the collection's selection memo. With shared selection disabled on the
-// restoring side the entries are still fully validated — a corrupt delta must
-// fail the restore either way — but land in a throwaway memo instead.
-func (c *Collection) applyMemoDelta(cfg config, delta []byte) error {
-	if delta == nil {
-		return nil
-	}
-	m := discovery.NewSelectionMemo(1)
-	if cfg.sharedSelection {
-		m = c.selectionMemo(cfg.cacheBound)
-	}
-	if _, err := discovery.DecodeMemoDelta(c.c, m, delta); err != nil {
-		return fmt.Errorf("%w: %w", ErrBadSnapshot, err)
-	}
-	return nil
+	return cfg, rest, nil
 }
 
 // readConfig decodes the configuration section into cfg, returning the
