@@ -1,9 +1,11 @@
 package discovery
 
 import (
+	"math"
 	"strings"
 
 	"setdiscovery/internal/cache"
+	"setdiscovery/internal/codec"
 	"setdiscovery/internal/cost"
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/strategy"
@@ -58,51 +60,33 @@ type CacheSection struct {
 	Entries  []strategy.CacheEntry
 }
 
-func (w *stateWriter) u64(v uint64) {
-	w.buf = append(w.buf,
-		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func (r *stateReader) u64() (uint64, error) {
-	if len(r.data) < 8 {
-		return 0, corrupt("truncated word")
-	}
-	v := uint64(r.data[0])<<56 | uint64(r.data[1])<<48 | uint64(r.data[2])<<40 |
-		uint64(r.data[3])<<32 | uint64(r.data[4])<<24 | uint64(r.data[5])<<16 |
-		uint64(r.data[6])<<8 | uint64(r.data[7])
-	r.data = r.data[8:]
-	return v, nil
-}
-
 // EncodeCacheShard serializes the first MaxCacheSections sections, guarded
 // by c's content fingerprint.
 func EncodeCacheShard(c *dataset.Collection, sections []CacheSection) []byte {
 	if len(sections) > MaxCacheSections {
 		sections = sections[:MaxCacheSections]
 	}
-	w := &stateWriter{buf: make([]byte, 0, 512)}
-	w.buf = append(w.buf, cacheShardMagic...)
-	w.u8(cacheShardVersion)
-	w.fingerprint(c.ContentFingerprint())
-	w.uvarint(uint64(len(sections)))
+	w := codec.Writer{Buf: make([]byte, 0, 512)}
+	w.Buf = append(w.Buf, cacheShardMagic...)
+	w.U8(cacheShardVersion)
+	writeFingerprint(&w, c.ContentFingerprint())
+	w.Uvarint(uint64(len(sections)))
 	for _, s := range sections {
-		w.uvarint(uint64(len(s.Strategy)))
-		w.buf = append(w.buf, s.Strategy...)
-		w.u8(byte(s.Metric))
-		w.uvarint(uint64(s.K))
-		w.uvarint(uint64(s.Q))
-		w.uvarint(uint64(len(s.Entries)))
+		w.String(s.Strategy)
+		w.U8(byte(s.Metric))
+		w.Uvarint(uint64(s.K))
+		w.Uvarint(uint64(s.Q))
+		w.Uvarint(uint64(len(s.Entries)))
 		for _, e := range s.Entries {
-			w.u64(e.Key.Hi)
-			w.u64(e.Key.Lo)
-			w.u64(e.Key.Aux)
-			w.bool(e.Found)
-			w.uvarint(uint64(e.Entity))
-			w.uvarint(e.Value)
+			w.BE64(e.Key.Hi)
+			w.BE64(e.Key.Lo)
+			w.BE64(e.Key.Aux)
+			w.Bool(e.Found)
+			w.Uvarint(uint64(e.Entity))
+			w.Uvarint(e.Value)
 		}
 	}
-	return w.buf
+	return w.Buf
 }
 
 // DecodeCacheShard parses a shard encoded by EncodeCacheShard, rejecting
@@ -110,118 +94,63 @@ func EncodeCacheShard(c *dataset.Collection, sections []CacheSection) []byte {
 // framing-checked only; the caller resolves them to factories, whose
 // ImportCache validates the values.
 func DecodeCacheShard(c *dataset.Collection, data []byte) ([]CacheSection, error) {
-	if len(data) < len(cacheShardMagic)+1 || string(data[:4]) != cacheShardMagic {
-		return nil, corrupt("bad shard magic")
+	r := codec.NewReader(data, errCorruptState)
+	r.Magic(cacheShardMagic)
+	if v := r.U8(); v != cacheShardVersion {
+		r.Fail("unknown shard version %d", v)
 	}
-	if data[4] != cacheShardVersion {
-		return nil, corrupt("unknown shard version %d", data[4])
+	if fp := readFingerprint(&r); fp != c.ContentFingerprint() {
+		r.Fail("shard was exported from a different collection")
 	}
-	r := &stateReader{data: data[5:]}
-	fp, err := r.fingerprint()
-	if err != nil {
-		return nil, err
+	type sectionKey struct {
+		strategy string
+		metric   cost.Metric
+		k, q     int
 	}
-	if fp != c.ContentFingerprint() {
-		return nil, corrupt("shard was exported from a different collection")
-	}
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if n > MaxCacheSections {
-		return nil, corrupt("%d sections exceed the cap of %d", n, MaxCacheSections)
-	}
-	sections := make([]CacheSection, 0, n)
-	for i := 0; i < n; i++ {
-		s, err := r.cacheSection(c)
-		if err != nil {
-			return nil, err
+	seen := make(map[sectionKey]bool)
+	sections := codec.List(&r, 1, MaxCacheSections, func() CacheSection {
+		s := readCacheSection(&r, c)
+		if key := (sectionKey{s.Strategy, s.Metric, s.K, s.Q}); seen[key] {
+			r.Fail("duplicate section for %s", s.Strategy)
+		} else {
+			seen[key] = true
 		}
-		for _, prev := range sections {
-			if prev.Strategy == s.Strategy && prev.Metric == s.Metric && prev.K == s.K && prev.Q == s.Q {
-				return nil, corrupt("duplicate section for %s", s.Strategy)
-			}
-		}
-		sections = append(sections, s)
-	}
-	if len(r.data) != 0 {
-		return nil, corrupt("%d trailing bytes", len(r.data))
+		return s
+	})
+	if err := r.End(); err != nil {
+		return nil, err
 	}
 	return sections, nil
 }
 
-// cacheSection reads one section. Parameter ceilings match the snapshot
+// minEntryBytes is the smallest encoded cache entry: three key words, the
+// found flag, the entity and the value.
+const minEntryBytes = 3*8 + 3
+
+// readCacheSection reads one section. Parameter ceilings match the snapshot
 // configuration's; q may be 0 because strategies without a beam ignore it.
-func (r *stateReader) cacheSection(c *dataset.Collection) (CacheSection, error) {
-	var s CacheSection
-	nameLen, err := r.uvarint()
-	if err != nil {
-		return s, err
+func readCacheSection(r *codec.Reader, c *dataset.Collection) CacheSection {
+	s := CacheSection{Strategy: r.String()}
+	if len(s.Strategy) == 0 || len(s.Strategy) > 64 || s.Strategy != strings.ToLower(s.Strategy) {
+		r.Fail("bad strategy name %q", s.Strategy)
 	}
-	if nameLen == 0 || nameLen > 64 || nameLen > uint64(len(r.data)) {
-		return s, corrupt("bad strategy name length %d", nameLen)
+	s.Metric = cost.Metric(readByte(r, byte(cost.H), "metric"))
+	if s.K = int(r.Uint(64)); s.K < 1 {
+		r.Fail("strategy parameter k = 0")
 	}
-	s.Strategy = string(r.data[:nameLen])
-	r.data = r.data[nameLen:]
-	if s.Strategy != strings.ToLower(s.Strategy) {
-		return s, corrupt("strategy name %q is not lower-case", s.Strategy)
-	}
-	metric, err := r.u8()
-	if err != nil {
-		return s, err
-	}
-	if metric > byte(cost.H) {
-		return s, corrupt("unknown metric %d", metric)
-	}
-	s.Metric = cost.Metric(metric)
-	for _, f := range []struct {
-		dst      *int
-		min, max uint64
-	}{{&s.K, 1, 64}, {&s.Q, 0, 1 << 20}} {
-		v, err := r.uvarint()
-		if err != nil {
-			return s, err
-		}
-		if v < f.min || v > f.max {
-			return s, corrupt("strategy parameter %d out of range [%d, %d]", v, f.min, f.max)
-		}
-		*f.dst = int(v)
-	}
-	n, err := r.count()
-	if err != nil {
-		return s, err
-	}
-	// count bounds n by one byte per entry; an entry takes at least
-	// minEntryBytes, and holding n of them costs more than that in memory.
-	const minEntryBytes = 3*8 + 3
-	if n > len(r.data)/minEntryBytes {
-		return s, corrupt("%d entries exceed the remaining input", n)
-	}
-	s.Entries = make([]strategy.CacheEntry, n)
-	seen := make(map[cache.Key]bool, n)
-	for i := range s.Entries {
-		e := &s.Entries[i]
-		for _, word := range []*uint64{&e.Key.Hi, &e.Key.Lo, &e.Key.Aux} {
-			if *word, err = r.u64(); err != nil {
-				return s, err
-			}
-		}
+	s.Q = int(r.Uint(1 << 20))
+	seen := make(map[cache.Key]bool)
+	s.Entries = codec.List(r, minEntryBytes, math.MaxInt32, func() strategy.CacheEntry {
+		e := strategy.CacheEntry{Key: cache.Key{Hi: r.BE64(), Lo: r.BE64(), Aux: r.BE64()}}
 		if seen[e.Key] {
-			return s, corrupt("duplicate key in section %s", s.Strategy)
+			r.Fail("duplicate key in section %s", s.Strategy)
 		}
 		seen[e.Key] = true
-		if e.Found, err = r.bool(); err != nil {
-			return s, err
-		}
-		if e.Entity, err = r.entity(); err != nil {
-			return s, err
-		}
+		e.Found, e.Entity, e.Value = r.Bool(), readEntity(r), r.Uvarint()
 		if int(e.Entity) >= c.DistinctEntities() {
-			return s, corrupt("shard entity %d of %d", e.Entity, c.DistinctEntities())
+			r.Fail("shard entity %d of %d", e.Entity, c.DistinctEntities())
 		}
-		if e.Value, err = r.uvarint(); err != nil {
-			return s, err
-		}
-	}
-	return s, nil
+		return e
+	})
+	return s
 }

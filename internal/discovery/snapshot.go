@@ -1,12 +1,12 @@
 package discovery
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"time"
 
+	"setdiscovery/internal/codec"
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/grouptest"
 	"setdiscovery/internal/strategy"
@@ -62,226 +62,116 @@ const (
 	errCodeBacktrackLim  = 3
 )
 
-// stateWriter appends the primitive encodings.
-type stateWriter struct {
-	buf []byte
-}
-
-func (w *stateWriter) u8(b byte) { w.buf = append(w.buf, b) }
-
-func (w *stateWriter) uvarint(v uint64) {
-	w.buf = binary.AppendUvarint(w.buf, v)
-}
-
-func (w *stateWriter) bool(b bool) {
-	if b {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-
-// entities writes an entity list verbatim (order is meaningful: the
+// writeEntities writes an entity list verbatim (order is meaningful: the
 // in-flight interaction batch is strategy-ranked, not sorted).
-func (w *stateWriter) entities(list []dataset.Entity) {
-	w.uvarint(uint64(len(list)))
+func writeEntities(w *codec.Writer, list []dataset.Entity) {
+	w.Uvarint(uint64(len(list)))
 	for _, e := range list {
-		w.uvarint(uint64(e))
+		w.Uvarint(uint64(e))
 	}
 }
 
-// members writes a strictly increasing set-index list as first value plus
-// gaps, the canonical subset encoding.
-func (w *stateWriter) members(list []uint32) {
-	w.uvarint(uint64(len(list)))
+// writeSubset writes a subset's strictly increasing set-index list as first
+// value plus gaps, the canonical subset encoding.
+func writeSubset(w *codec.Writer, s *dataset.Subset) {
+	list := s.Members()
+	w.Uvarint(uint64(len(list)))
 	prev := uint32(0)
-	for i, v := range list {
-		if i == 0 {
-			w.uvarint(uint64(v))
-		} else {
-			w.uvarint(uint64(v - prev)) // ≥ 1: the list is strictly increasing
-		}
+	for _, v := range list {
+		w.Uvarint(uint64(v - prev)) // ≥ 1 after the first: the list is strictly increasing
 		prev = v
 	}
 }
 
-func (w *stateWriter) subset(s *dataset.Subset) {
-	w.members(s.Members())
+func writeFingerprint(w *codec.Writer, fp dataset.Fingerprint) {
+	w.BE64(fp.Hi)
+	w.BE64(fp.Lo)
 }
 
-func (w *stateWriter) fingerprint(fp dataset.Fingerprint) {
-	w.buf = binary.BigEndian.AppendUint64(w.buf, fp.Hi)
-	w.buf = binary.BigEndian.AppendUint64(w.buf, fp.Lo)
-}
-
-// stateReader consumes the primitive encodings, validating as it goes.
-type stateReader struct {
-	data []byte
+// writeQuestion writes one asked-question key: in a version-1 state a bare
+// entity, in a version-2 (group) state a kind byte followed by an entity
+// (kind 0) or semantics plus a non-empty subset (kind 1).
+func writeQuestion(w *codec.Writer, group bool, e dataset.Entity, subset []dataset.Entity, sem grouptest.Semantics) {
+	switch {
+	case !group:
+		w.Uvarint(uint64(e))
+	case subset != nil:
+		w.U8(1)
+		w.U8(byte(sem))
+		writeEntities(w, subset)
+	default:
+		w.U8(0)
+		w.Uvarint(uint64(e))
+	}
 }
 
 func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errCorruptState, fmt.Sprintf(format, args...))
 }
 
-func (r *stateReader) u8() (byte, error) {
-	if len(r.data) == 0 {
-		return 0, corrupt("truncated input")
+// readByte reads a one-byte enumeration, failing above max.
+func readByte(r *codec.Reader, max byte, what string) byte {
+	b := r.U8()
+	if b > max {
+		r.Fail("bad %s %d", what, b)
 	}
-	b := r.data[0]
-	r.data = r.data[1:]
-	return b, nil
+	return b
 }
 
-func (r *stateReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
-		return 0, corrupt("bad varint")
-	}
-	r.data = r.data[n:]
-	return v, nil
-}
-
-func (r *stateReader) bool() (bool, error) {
-	b, err := r.u8()
-	if err != nil {
-		return false, err
-	}
-	if b > 1 {
-		return false, corrupt("bad bool %d", b)
-	}
-	return b == 1, nil
-}
-
-// count reads a list length and bounds it by the remaining input (every
-// element costs at least one byte), so a hostile length cannot force a huge
-// allocation.
-func (r *stateReader) count() (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(len(r.data)) {
-		return 0, corrupt("count %d exceeds remaining input", v)
-	}
-	return int(v), nil
-}
-
-// entity reads one entity ID (bounded to uint32, the engine-wide entity
+// readEntity reads one entity ID (bounded to uint32, the engine-wide entity
 // width).
-func (r *stateReader) entity() (dataset.Entity, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxUint32 {
-		return 0, corrupt("entity %d overflows", v)
-	}
-	return dataset.Entity(v), nil
+func readEntity(r *codec.Reader) dataset.Entity {
+	return dataset.Entity(r.Uint(math.MaxUint32))
 }
 
-func (r *stateReader) entities() ([]dataset.Entity, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]dataset.Entity, n)
-	for i := range out {
-		if out[i], err = r.entity(); err != nil {
-			return nil, err
+func readEntities(r *codec.Reader) []dataset.Entity {
+	return codec.List(r, 1, math.MaxInt32, func() dataset.Entity { return readEntity(r) })
+}
+
+// readSubset reads a member-index list and rebinds it to c, rejecting
+// indexes beyond the collection and non-canonical (unsorted or duplicated)
+// lists. It returns nil after a failure.
+func readSubset(r *codec.Reader, c *dataset.Collection) *dataset.Subset {
+	n, prev := 0, uint64(0)
+	members := codec.List(r, 1, c.Len(), func() uint32 {
+		gap := r.Uvarint()
+		if n > 0 && gap == 0 {
+			r.Fail("subset members not strictly increasing")
 		}
-	}
-	return out, nil
-}
-
-// subset reads a member-index list and rebinds it to c, rejecting indexes
-// beyond the collection and non-canonical (unsorted or duplicated) lists.
-func (r *stateReader) subset(c *dataset.Collection) (*dataset.Subset, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	members := make([]uint32, n)
-	prev := uint64(0)
-	for i := range members {
-		v, err := r.uvarint()
-		if err != nil {
-			return nil, err
+		if gap >= uint64(c.Len())-prev {
+			r.Fail("subset references a set beyond the collection's %d", c.Len())
 		}
-		if i > 0 {
-			if v == 0 {
-				return nil, corrupt("subset members not strictly increasing")
-			}
-			v += prev
-		}
-		if v >= uint64(c.Len()) {
-			return nil, corrupt("subset references set %d of %d", v, c.Len())
-		}
-		members[i] = uint32(v)
-		prev = v
+		n, prev = n+1, prev+gap
+		return uint32(prev)
+	})
+	if r.Err() != nil {
+		return nil
 	}
-	return c.SubsetOf(members), nil
+	return c.SubsetOf(members)
 }
 
-func (r *stateReader) fingerprint() (dataset.Fingerprint, error) {
-	if len(r.data) < 16 {
-		return dataset.Fingerprint{}, corrupt("truncated fingerprint")
-	}
-	fp := dataset.Fingerprint{
-		Hi: binary.BigEndian.Uint64(r.data[:8]),
-		Lo: binary.BigEndian.Uint64(r.data[8:16]),
-	}
-	r.data = r.data[16:]
-	return fp, nil
+func readFingerprint(r *codec.Reader) dataset.Fingerprint {
+	return dataset.Fingerprint{Hi: r.BE64(), Lo: r.BE64()}
 }
 
-func (r *stateReader) answer() (Answer, error) {
-	b, err := r.u8()
-	if err != nil {
-		return 0, err
-	}
-	if b > 2 {
-		return 0, corrupt("bad answer %d", b)
-	}
-	return Answer(b), nil
-}
-
-// question reads one asked-question key: in a version-1 state a bare
-// entity, in a version-2 (group) state a kind byte followed by an entity
-// (kind 0) or semantics plus a non-empty subset (kind 1).
-func (r *stateReader) question(group bool) (dataset.Entity, []dataset.Entity, grouptest.Semantics, error) {
+// readQuestion reads one asked-question key (see writeQuestion).
+func readQuestion(r *codec.Reader, group bool) (dataset.Entity, []dataset.Entity, grouptest.Semantics) {
 	if !group {
-		e, err := r.entity()
-		return e, nil, 0, err
+		return readEntity(r), nil, 0
 	}
-	kind, err := r.u8()
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	switch kind {
+	switch kind := r.U8(); kind {
 	case 0:
-		e, err := r.entity()
-		return e, nil, 0, err
+		return readEntity(r), nil, 0
 	case 1:
-		sem, err := r.u8()
-		if err != nil {
-			return 0, nil, 0, err
-		}
-		if sem > byte(grouptest.SubsetOfTarget) {
-			return 0, nil, 0, corrupt("bad subset semantics %d", sem)
-		}
-		members, err := r.entities()
-		if err != nil {
-			return 0, nil, 0, err
-		}
+		sem := grouptest.Semantics(readByte(r, byte(grouptest.SubsetOfTarget), "subset semantics"))
+		members := readEntities(r)
 		if len(members) == 0 {
-			return 0, nil, 0, corrupt("empty question subset")
+			r.Fail("empty question subset")
 		}
-		return 0, members, grouptest.Semantics(sem), nil
+		return 0, members, sem
 	default:
-		return 0, nil, 0, corrupt("bad question kind %d", kind)
+		r.Fail("bad question kind %d", kind)
+		return 0, nil, 0
 	}
 }
 
@@ -290,19 +180,19 @@ func (r *stateReader) question(group bool) (dataset.Entity, []dataset.Entity, gr
 // export state on every round-trip. Restore with DecodeSession (or
 // NewBatch's decoding counterpart for batch members).
 func (s *Session) EncodeState() []byte {
-	w := &stateWriter{buf: make([]byte, 0, 256)}
+	w := codec.Writer{Buf: make([]byte, 0, 256)}
 	if s.opts.Group != nil {
-		w.u8(stateVersionGroup)
+		w.U8(stateVersionGroup)
 	} else {
-		w.u8(stateVersion)
+		w.U8(stateVersion)
 	}
-	s.encodeInto(w)
-	return w.buf
+	s.encodeInto(&w)
+	return w.Buf
 }
 
-func (s *Session) encodeInto(w *stateWriter) {
+func (s *Session) encodeInto(w *codec.Writer) {
 	group := s.opts.Group != nil
-	w.u8(byte(s.state))
+	w.U8(byte(s.state))
 	var flags byte
 	if s.inBatch {
 		flags |= 1
@@ -316,61 +206,38 @@ func (s *Session) encodeInto(w *stateWriter) {
 	if group && s.pendingSub != nil {
 		flags |= 8
 	}
-	w.u8(flags)
-	w.uvarint(uint64(s.pending))
+	w.U8(flags)
+	w.Uvarint(uint64(s.pending))
 	if flags&8 != 0 {
-		w.u8(byte(s.pendingSem))
-		w.entities(s.pendingSub)
+		w.U8(byte(s.pendingSem))
+		writeEntities(w, s.pendingSub)
 	}
 	if s.confirm != nil {
-		w.uvarint(uint64(s.confirm.Index) + 1)
+		w.Uvarint(uint64(s.confirm.Index) + 1)
 	} else {
-		w.uvarint(0)
+		w.Uvarint(0)
 	}
-	w.entities(s.batch)
-	w.entities(sortedEntities(s.excluded))
+	writeEntities(w, s.batch)
+	writeEntities(w, sortedEntities(s.excluded))
 	if s.cs != nil {
-		w.subset(s.cs)
-		w.fingerprint(s.cs.Fingerprint())
+		writeSubset(w, s.cs)
+		writeFingerprint(w, s.cs.Fingerprint())
 	}
-	w.uvarint(uint64(len(s.trail)))
+	w.Uvarint(uint64(len(s.trail)))
 	for _, te := range s.trail {
-		w.subset(te.before)
-		if group {
-			if te.subset != nil {
-				w.u8(1)
-				w.u8(byte(te.sem))
-				w.entities(te.subset)
-			} else {
-				w.u8(0)
-				w.uvarint(uint64(te.entity))
-			}
-		} else {
-			w.uvarint(uint64(te.entity))
-		}
-		w.u8(byte(te.answer))
-		w.bool(te.flipped)
+		writeSubset(w, te.before)
+		writeQuestion(w, group, te.entity, te.subset, te.sem)
+		w.U8(byte(te.answer))
+		w.Bool(te.flipped)
 	}
-	w.uvarint(uint64(s.res.Questions))
-	w.uvarint(uint64(s.res.Interactions))
-	w.uvarint(uint64(s.res.Unknowns))
-	w.uvarint(uint64(s.res.Backtracks))
-	w.uvarint(uint64(s.res.SelectionTime))
-	w.uvarint(uint64(len(s.res.Asked)))
+	for _, v := range []int{s.res.Questions, s.res.Interactions, s.res.Unknowns, s.res.Backtracks} {
+		w.Uvarint(uint64(v))
+	}
+	w.Uvarint(uint64(s.res.SelectionTime))
+	w.Uvarint(uint64(len(s.res.Asked)))
 	for _, q := range s.res.Asked {
-		if group {
-			if q.Subset != nil {
-				w.u8(1)
-				w.u8(byte(q.Semantics))
-				w.entities(q.Subset)
-			} else {
-				w.u8(0)
-				w.uvarint(uint64(q.Entity))
-			}
-		} else {
-			w.uvarint(uint64(q.Entity))
-		}
-		w.u8(byte(q.Answer))
+		writeQuestion(w, group, q.Entity, q.Subset, q.Semantics)
+		w.U8(byte(q.Answer))
 	}
 	if s.state == stateDone {
 		code := errCodeNone
@@ -391,7 +258,7 @@ func (s *Session) encodeInto(w *stateWriter) {
 			// as contradiction rather than inventing a limit message.
 			code = errCodeContradiction
 		}
-		w.u8(byte(code))
+		w.U8(byte(code))
 	}
 }
 
@@ -419,29 +286,36 @@ func sortedEntities(m map[dataset.Entity]bool) []dataset.Entity {
 // and behaviour-relevant options the state was captured under; the candidate
 // set's recorded fingerprint guards against a mismatched collection.
 func DecodeSession(c *dataset.Collection, opts Options, data []byte) (*Session, error) {
-	r := &stateReader{data: data}
-	v, err := r.u8()
+	r := codec.NewReader(data, errCorruptState)
+	v := readVersion(&r, stateVersionGroup)
+	s, err := decodeSessionInto(c, opts, soloScheduler, &r, v)
 	if err != nil {
 		return nil, err
 	}
-	if v != stateVersion && v != stateVersionGroup {
-		return nil, corrupt("unknown state version %d", v)
-	}
-	s, err := decodeSessionInto(c, opts, soloScheduler, r, v)
-	if err != nil {
+	if err := r.End(); err != nil {
 		return nil, err
-	}
-	if len(r.data) != 0 {
-		return nil, corrupt("%d trailing bytes", len(r.data))
 	}
 	return s, nil
+}
+
+// readVersion reads the leading version byte, failing unless it is
+// stateVersion or, when accepted, stateVersionGroup.
+func readVersion(r *codec.Reader, accept byte) byte {
+	v := r.U8()
+	if v != stateVersion && v != accept {
+		r.Fail("unknown state version %d", v)
+	}
+	return v
 }
 
 // decodeSessionInto decodes one session's state from r. It mirrors
 // newScheduledSession's construction (options normalisation, scratch
 // wiring) but restores the suspended fields instead of running the opening
 // selection.
-func decodeSessionInto(c *dataset.Collection, opts Options, sched *scheduler, r *stateReader, version byte) (*Session, error) {
+func decodeSessionInto(c *dataset.Collection, opts Options, sched *scheduler, r *codec.Reader, version byte) (*Session, error) {
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
 	group := version == stateVersionGroup
 	if group && opts.Group == nil {
 		return nil, corrupt("group state requires group options")
@@ -455,135 +329,59 @@ func decodeSessionInto(c *dataset.Collection, opts Options, sched *scheduler, r 
 	if opts.Backtrack && opts.MaxBacktracks == 0 {
 		opts.MaxBacktracks = 64
 	}
-	stateByte, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if stateByte > byte(stateDone) {
-		return nil, corrupt("bad session state %d", stateByte)
-	}
-	flags, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
+	stateByte := readByte(r, byte(stateDone), "session state")
 	validFlags := byte(7)
 	if group {
 		validFlags = 15
 	}
+	flags := r.U8()
 	if flags&^validFlags != 0 {
-		return nil, corrupt("bad flags %#x", flags)
+		r.Fail("bad flags %#x", flags)
 	}
-	pending, err := r.entity()
-	if err != nil {
-		return nil, err
-	}
+	pending := readEntity(r)
 	var pendingSub []dataset.Entity
 	var pendingSem grouptest.Semantics
 	if flags&8 != 0 {
 		if stateByte != byte(stateAsk) {
-			return nil, corrupt("pending subset outside the asking state")
+			r.Fail("pending subset outside the asking state")
 		}
-		sem, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		if sem > byte(grouptest.SubsetOfTarget) {
-			return nil, corrupt("bad subset semantics %d", sem)
-		}
-		pendingSem = grouptest.Semantics(sem)
-		if pendingSub, err = r.entities(); err != nil {
-			return nil, err
-		}
-		if len(pendingSub) == 0 {
-			return nil, corrupt("empty pending subset")
+		pendingSem = grouptest.Semantics(readByte(r, byte(grouptest.SubsetOfTarget), "subset semantics"))
+		if pendingSub = readEntities(r); len(pendingSub) == 0 {
+			r.Fail("empty pending subset")
 		}
 	} else if group && stateByte == byte(stateAsk) {
-		return nil, corrupt("group session asking without a pending subset")
+		r.Fail("group session asking without a pending subset")
 	}
-	confirmIdx, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if confirmIdx > uint64(c.Len()) {
-		return nil, corrupt("confirm set %d of %d", confirmIdx-1, c.Len())
-	}
-	batch, err := r.entities()
-	if err != nil {
-		return nil, err
-	}
-	excludedList, err := r.entities()
-	if err != nil {
-		return nil, err
-	}
+	confirmIdx := r.Uint(uint64(c.Len()))
+	batch := readEntities(r)
+	excludedList := readEntities(r)
 	var cs *dataset.Subset
 	if flags&4 != 0 {
-		if cs, err = r.subset(c); err != nil {
-			return nil, err
-		}
-		fp, err := r.fingerprint()
-		if err != nil {
-			return nil, err
-		}
-		if cs.Fingerprint() != fp {
-			return nil, corrupt("candidate-set fingerprint mismatch (state from a different collection?)")
+		cs = readSubset(r, c)
+		if fp := readFingerprint(r); cs != nil && cs.Fingerprint() != fp {
+			r.Fail("candidate-set fingerprint mismatch (state from a different collection?)")
 		}
 	}
-	nTrail, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	trail := make([]trailEntry, 0, nTrail)
-	for i := 0; i < nTrail; i++ {
-		before, err := r.subset(c)
-		if err != nil {
-			return nil, err
-		}
-		te := trailEntry{before: before}
-		if te.entity, te.subset, te.sem, err = r.question(group); err != nil {
-			return nil, err
-		}
-		if te.answer, err = r.answer(); err != nil {
-			return nil, err
-		}
-		if te.flipped, err = r.bool(); err != nil {
-			return nil, err
-		}
-		trail = append(trail, te)
-	}
+	trail := codec.List(r, 4, math.MaxInt32, func() trailEntry { // subset, question, answer, flipped
+		te := trailEntry{before: readSubset(r, c)}
+		te.entity, te.subset, te.sem = readQuestion(r, group)
+		te.answer = Answer(readByte(r, 2, "answer"))
+		te.flipped = r.Bool()
+		return te
+	})
 	res := &Result{}
-	counters := []*int{&res.Questions, &res.Interactions, &res.Unknowns, &res.Backtracks}
-	for _, dst := range counters {
-		v, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if v > math.MaxInt32 {
-			return nil, corrupt("counter %d overflows", v)
-		}
-		*dst = int(v)
+	for _, dst := range []*int{&res.Questions, &res.Interactions, &res.Unknowns, &res.Backtracks} {
+		*dst = int(r.Uint(math.MaxInt32))
 	}
-	selNS, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if selNS > math.MaxInt64 {
-		return nil, corrupt("selection time overflows")
-	}
-	res.SelectionTime = time.Duration(selNS)
-	nAsked, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	res.Asked = make([]Question, 0, nAsked)
-	for i := 0; i < nAsked; i++ {
+	res.SelectionTime = time.Duration(r.Uint(math.MaxInt64))
+	res.Asked = codec.List(r, 2, math.MaxInt32, func() Question { // question, answer
 		var q Question
-		if q.Entity, q.Subset, q.Semantics, err = r.question(group); err != nil {
-			return nil, err
-		}
-		if q.Answer, err = r.answer(); err != nil {
-			return nil, err
-		}
-		res.Asked = append(res.Asked, q)
+		q.Entity, q.Subset, q.Semantics = readQuestion(r, group)
+		q.Answer = Answer(readByte(r, 2, "answer"))
+		return q
+	})
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 
 	excluded := make(map[dataset.Entity]bool, len(excludedList))
@@ -619,8 +417,8 @@ func decodeSessionInto(c *dataset.Collection, opts Options, sched *scheduler, r 
 
 	switch s.state {
 	case stateDone:
-		code, err := r.u8()
-		if err != nil {
+		code := r.U8()
+		if err := r.Err(); err != nil {
 			return nil, err
 		}
 		// finish() already ran before the snapshot: reconstruct its
@@ -663,16 +461,16 @@ func decodeSessionInto(c *dataset.Collection, opts Options, sched *scheduler, r 
 // path taken, which the decoder replays and verifies against the tree) plus
 // the accounting the replay cannot reproduce.
 func (s *TreeSession) EncodeState() []byte {
-	w := &stateWriter{buf: make([]byte, 0, 64)}
-	w.u8(stateVersion)
-	w.bool(s.done)
-	w.uvarint(uint64(s.res.SelectionTime))
-	w.uvarint(uint64(len(s.res.Asked)))
+	w := codec.Writer{Buf: make([]byte, 0, 64)}
+	w.U8(stateVersion)
+	w.Bool(s.done)
+	w.Uvarint(uint64(s.res.SelectionTime))
+	w.Uvarint(uint64(len(s.res.Asked)))
 	for _, q := range s.res.Asked {
-		w.uvarint(uint64(q.Entity))
-		w.u8(byte(q.Answer))
+		w.Uvarint(uint64(q.Entity))
+		w.U8(byte(q.Answer))
 	}
-	return w.buf
+	return w.Buf
 }
 
 // DecodeTreeSession reconstructs a TreeSession over t by replaying the
@@ -680,51 +478,27 @@ func (s *TreeSession) EncodeState() []byte {
 // against the node it lands on, so state captured over a different tree (or
 // corrupted) is rejected rather than silently walking to a wrong leaf.
 func DecodeTreeSession(c *dataset.Collection, t *tree.Tree, data []byte) (*TreeSession, error) {
-	r := &stateReader{data: data}
-	v, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if v != stateVersion {
-		return nil, corrupt("unknown state version %d", v)
-	}
-	done, err := r.bool()
-	if err != nil {
-		return nil, err
-	}
-	selNS, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if selNS > math.MaxInt64 {
-		return nil, corrupt("selection time overflows")
-	}
-	nAsked, err := r.count()
-	if err != nil {
-		return nil, err
-	}
+	r := codec.NewReader(data, errCorruptState)
+	readVersion(&r, stateVersion)
+	done := r.Bool()
+	selNS := r.Uint(math.MaxInt64)
 	s := NewTreeSession(c, t)
-	for i := 0; i < nAsked; i++ {
-		e, err := r.entity()
-		if err != nil {
-			return nil, err
-		}
-		a, err := r.answer()
-		if err != nil {
-			return nil, err
-		}
-		if s.done {
-			return nil, corrupt("asked log longer than the tree path")
-		}
-		if s.n.Entity != e {
-			return nil, corrupt("asked entity %d does not match the tree (state from a different tree?)", e)
-		}
-		if err := s.Answer(a); err != nil {
-			return nil, err
+	for n := r.Count(2); n > 0 && r.Err() == nil; n-- { // entity, answer
+		e, a := readEntity(&r), Answer(readByte(&r, 2, "answer"))
+		switch {
+		case r.Err() != nil:
+		case s.done:
+			r.Fail("asked log longer than the tree path")
+		case s.n.Entity != e:
+			r.Fail("asked entity %d does not match the tree (state from a different tree?)", e)
+		default:
+			if err := s.Answer(a); err != nil {
+				return nil, err
+			}
 		}
 	}
-	if len(r.data) != 0 {
-		return nil, corrupt("%d trailing bytes", len(r.data))
+	if err := r.End(); err != nil {
+		return nil, err
 	}
 	if s.done != done {
 		return nil, corrupt("done flag inconsistent with replayed walk")
@@ -739,21 +513,21 @@ func DecodeTreeSession(c *dataset.Collection, t *tree.Tree, data []byte) (*TreeS
 // amortisation counters plus every member session's state. The per-round
 // memos are not state — they are rebuilt as the next round's answers arrive.
 func (b *Batch) EncodeState() []byte {
-	w := &stateWriter{buf: make([]byte, 0, 256*len(b.members))}
+	w := codec.Writer{Buf: make([]byte, 0, 256*len(b.members))}
 	if len(b.members) > 0 && b.members[0].opts.Group != nil {
-		w.u8(stateVersionGroup)
+		w.U8(stateVersionGroup)
 	} else {
-		w.u8(stateVersion)
+		w.U8(stateVersion)
 	}
 	st := b.sched.stats
 	for _, v := range []int64{st.Selections, st.SelectionsShared, st.Partitions, st.PartitionsShared, st.Rounds} {
-		w.uvarint(uint64(v))
+		w.Uvarint(uint64(v))
 	}
-	w.uvarint(uint64(len(b.members)))
+	w.Uvarint(uint64(len(b.members)))
 	for _, m := range b.members {
-		m.encodeInto(w)
+		m.encodeInto(&w)
 	}
-	return w.buf
+	return w.Buf
 }
 
 // DecodeBatch reconstructs a Batch from EncodeState output. Like NewBatch it
@@ -767,31 +541,18 @@ func DecodeBatch(c *dataset.Collection, f strategy.Factory, opts Options, data [
 	if opts.Strategy != nil {
 		return nil, errors.New("discovery: Options.Strategy must be nil for DecodeBatch; the batch mints one shared instance from the factory")
 	}
-	r := &stateReader{data: data}
-	v, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if v != stateVersion && v != stateVersionGroup {
-		return nil, corrupt("unknown state version %d", v)
-	}
+	r := codec.NewReader(data, errCorruptState)
+	v := readVersion(&r, stateVersionGroup)
 	var st BatchStats
 	for _, dst := range []*int64{&st.Selections, &st.SelectionsShared, &st.Partitions, &st.PartitionsShared, &st.Rounds} {
-		u, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if u > math.MaxInt64 {
-			return nil, corrupt("stat counter overflows")
-		}
-		*dst = int64(u)
+		*dst = int64(r.Uint(math.MaxInt64))
 	}
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
+	n := r.Count(1)
 	if n == 0 {
-		return nil, corrupt("batch without members")
+		r.Fail("batch without members")
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	sched := &scheduler{
 		shared: true,
@@ -811,14 +572,14 @@ func DecodeBatch(c *dataset.Collection, f strategy.Factory, opts Options, data [
 	}
 	b := &Batch{sched: sched, members: make([]*Session, 0, n)}
 	for i := 0; i < n; i++ {
-		m, err := decodeSessionInto(c, opts, sched, r, v)
+		m, err := decodeSessionInto(c, opts, sched, &r, v)
 		if err != nil {
 			return nil, fmt.Errorf("batch member %d: %w", i, err)
 		}
 		b.members = append(b.members, m)
 	}
-	if len(r.data) != 0 {
-		return nil, corrupt("%d trailing bytes", len(r.data))
+	if err := r.End(); err != nil {
+		return nil, err
 	}
 	return b, nil
 }

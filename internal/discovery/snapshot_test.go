@@ -2,10 +2,12 @@ package discovery
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"setdiscovery/internal/codec"
 	"setdiscovery/internal/cost"
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/strategy"
@@ -397,5 +399,20 @@ func TestSnapshotDecodeRejectsGarbage(t *testing.T) {
 		t.Fatal("state restored over a foreign collection")
 	} else if !errors.Is(err, errCorruptState) {
 		t.Fatalf("foreign collection error not a corrupt-state error: %v", err)
+	}
+}
+
+// TestSubsetRejectsWrappingGap: a member gap so large that adding it wraps
+// the index back below the collection size must be rejected, not decoded as
+// a reordered (non-canonical) subset.
+func TestSubsetRejectsWrappingGap(t *testing.T) {
+	c := testutil.PaperCollection()
+	var w codec.Writer
+	w.Uvarint(2)
+	w.Uvarint(3)
+	w.Uvarint(math.MaxUint64 - 1) // 3 + gap wraps to 1
+	r := codec.NewReader(w.Buf, errCorruptState)
+	if s := readSubset(&r, c); !errors.Is(r.Err(), errCorruptState) {
+		t.Fatalf("decoded members %v, err %v; want a corrupt-state error", s.Members(), r.Err())
 	}
 }

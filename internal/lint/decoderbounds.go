@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // DecoderBounds guards the untrusted-codec discipline PR 5's fuzzing
@@ -14,9 +15,11 @@ import (
 // entries turns into an instant OOM.
 //
 // Taint seeds are the encoding/binary readers (Uvarint, Varint,
-// ReadUvarint, ReadVarint, and the ByteOrder Uint16/32/64 methods) plus
-// same-package helpers that (transitively) return such a value unchecked —
-// e.g. a stateReader.uvarint wrapper. Taint follows assignments,
+// ReadUvarint, ReadVarint, and the ByteOrder Uint16/32/64 methods), the raw
+// reads of the binary codec kit's Reader (internal/codec: Uvarint, BE64,
+// LE32 — its Count and Uint(max) return bounded values), plus same-package
+// helpers that (transitively) return such a value unchecked — e.g. a reader
+// method wrapping binary.Uvarint. Taint follows assignments,
 // arithmetic, and conversions; each copy is bounded independently. Any
 // comparison mentioning the value sanitizes it from that point on (the
 // decoder idiom is `if n > uint64(len(rest)) { return errTruncated }`), as
@@ -356,10 +359,35 @@ func (w *taintWalker) callTaintedResults(call *ast.CallExpr) map[int]bool {
 			return map[int]bool{0: true}
 		}
 	}
+	if isCodecRawRead(f) {
+		return map[int]bool{0: true}
+	}
 	if m := w.sums[f]; len(m) > 0 {
 		return m
 	}
 	return nil
+}
+
+// codecPathSuffix locates the binary codec kit, setdiscovery/internal/codec.
+const codecPathSuffix = "internal/codec"
+
+// isCodecRawRead reports whether f is one of the kit Reader's raw reads:
+// Uvarint, BE64 and LE32 return decoded values nothing has bounded yet.
+// Count and Uint(max) bound their results before returning them, so like
+// any other cross-package call they yield clean values.
+func isCodecRawRead(f *types.Func) bool {
+	if f.Pkg() == nil || !strings.HasSuffix(f.Pkg().Path(), codecPathSuffix) {
+		return false
+	}
+	sig, ok := f.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	switch f.Name() {
+	case "Uvarint", "BE64", "LE32":
+		return true
+	}
+	return false
 }
 
 func (w *taintWalker) flag(pos token.Pos, msg string) {

@@ -3,7 +3,11 @@
 // loop before anything compares it to the remaining input.
 package decoderbounds
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"setdiscovery/internal/codec"
+)
 
 // --- allocation sites ---------------------------------------------------
 
@@ -117,6 +121,43 @@ func viaHelper(r *reader) []uint32 {
 func viaCount(r *reader) []uint32 {
 	n, ok := r.count()
 	if !ok {
+		return nil
+	}
+	return make([]uint32, n)
+}
+
+// --- the binary codec kit ----------------------------------------------
+
+// The kit's raw reads are taint seeds from another package.
+func kitUvarint(r *codec.Reader) []uint32 {
+	return make([]uint32, r.Uvarint()) // want `allocation size derives from decoded input`
+}
+
+func kitWord(r *codec.Reader) []byte {
+	n := r.BE64()
+	return make([]byte, n) // want `allocation size derives from decoded input`
+}
+
+func kitChecksumLoop(r *codec.Reader) uint64 {
+	var sum uint64
+	for i := uint32(0); i < r.LE32(); i++ { // want `loop bound derives from decoded input`
+		sum += uint64(i)
+	}
+	return sum
+}
+
+// Count and Uint(max) return values the kit has already bounded.
+func kitCount(r *codec.Reader) []uint32 {
+	return make([]uint32, r.Count(1))
+}
+
+func kitUint(r *codec.Reader) []uint32 {
+	return make([]uint32, r.Uint(64))
+}
+
+func kitCheckedRaw(r *codec.Reader, remaining int) []uint32 {
+	n := r.Uvarint()
+	if n > uint64(remaining) {
 		return nil
 	}
 	return make([]uint32, n)

@@ -9,51 +9,14 @@ package router
 // per backend, so the endpoint stays cheap enough for tight intervals.
 
 import (
-	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"setdiscovery/internal/obs"
 )
-
-// metricsWriter accumulates one exposition body (the router's twin of the
-// engine-side writer in internal/server; the format is trivial enough that
-// sharing it across packages would cost more than the duplication).
-type metricsWriter struct {
-	b strings.Builder
-}
-
-func (m *metricsWriter) family(name, help, typ string) {
-	fmt.Fprintf(&m.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-func (m *metricsWriter) sample(name, labels string, v float64) {
-	if labels != "" {
-		fmt.Fprintf(&m.b, "%s{%s} %g\n", name, labels, v)
-	} else {
-		fmt.Fprintf(&m.b, "%s %g\n", name, v)
-	}
-}
-
-func (m *metricsWriter) serve(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte(m.b.String()))
-}
-
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
 
 // latencyRingSize bounds the per-backend latency window. 512 samples at a
 // typical scrape interval covers the recent traffic a p99 should reflect
@@ -119,10 +82,10 @@ func (m *routerMetrics) observeRound(backend string, d time.Duration) {
 
 // handleMetrics serves GET /v1/metrics on the router.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var m metricsWriter
+	var m obs.Writer
 
-	m.family("setdiscovery_router_uptime_seconds", "Seconds since the router started.", "gauge")
-	m.sample("setdiscovery_router_uptime_seconds", "", float64(int64(time.Since(rt.started)/time.Second)))
+	m.Family("setdiscovery_router_uptime_seconds", "Seconds since the router started.", "gauge")
+	m.Sample("setdiscovery_router_uptime_seconds", float64(int64(time.Since(rt.started)/time.Second)))
 
 	type beRow struct {
 		name     string
@@ -138,26 +101,23 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rt.mu.RUnlock()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
 
-	m.family("setdiscovery_router_tracked_sessions", "Resources with a live affinity entry.", "gauge")
-	m.sample("setdiscovery_router_tracked_sessions", "", float64(tracked))
+	m.Family("setdiscovery_router_tracked_sessions", "Resources with a live affinity entry.", "gauge")
+	m.Sample("setdiscovery_router_tracked_sessions", float64(tracked))
 
-	m.family("setdiscovery_router_backend_up", "Backend health by probe verdict (1 = healthy).", "gauge")
+	m.Family("setdiscovery_router_backend_up", "Backend health by probe verdict (1 = healthy).", "gauge")
 	for _, b := range rows {
-		m.sample("setdiscovery_router_backend_up",
-			fmt.Sprintf(`backend=%q,health=%q`, escapeLabel(b.name), escapeLabel(b.health)),
-			boolGauge(b.health == "healthy"))
+		m.Sample("setdiscovery_router_backend_up", obs.Bool(b.health == "healthy"), "backend", b.name, "health", b.health)
 	}
-	m.family("setdiscovery_router_backend_draining", "Whether the backend is refusing new placements.", "gauge")
+	m.Family("setdiscovery_router_backend_draining", "Whether the backend is refusing new placements.", "gauge")
 	for _, b := range rows {
-		m.sample("setdiscovery_router_backend_draining",
-			fmt.Sprintf(`backend=%q`, escapeLabel(b.name)), boolGauge(b.draining))
+		m.Sample("setdiscovery_router_backend_draining", obs.Bool(b.draining), "backend", b.name)
 	}
 
-	m.family("setdiscovery_router_migrations_total", "Resources moved between engines via snapshot export/import.", "counter")
-	m.sample("setdiscovery_router_migrations_total", "", float64(rt.metrics.migrations.Load()))
+	m.Family("setdiscovery_router_migrations_total", "Resources moved between engines via snapshot export/import.", "counter")
+	m.Sample("setdiscovery_router_migrations_total", float64(rt.metrics.migrations.Load()))
 
-	m.family("setdiscovery_router_resurrections_total", "Resources re-imported from a cached snapshot after a backend death.", "counter")
-	m.sample("setdiscovery_router_resurrections_total", "", float64(rt.metrics.resurrections.Load()))
+	m.Family("setdiscovery_router_resurrections_total", "Resources re-imported from a cached snapshot after a backend death.", "counter")
+	m.Sample("setdiscovery_router_resurrections_total", float64(rt.metrics.resurrections.Load()))
 
 	type latRow struct {
 		name          string
@@ -173,15 +133,14 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rt.metrics.mu.Unlock()
 	sort.Slice(lats, func(i, j int) bool { return lats[i].name < lats[j].name })
 
-	m.family("setdiscovery_router_round_seconds",
+	m.Family("setdiscovery_router_round_seconds",
 		"Proxied round-trip latency per backend over the recent sample window.", "summary")
 	for _, l := range lats {
-		be := escapeLabel(l.name)
-		m.sample("setdiscovery_router_round_seconds", fmt.Sprintf(`backend=%q,quantile="0.5"`, be), l.p50)
-		m.sample("setdiscovery_router_round_seconds", fmt.Sprintf(`backend=%q,quantile="0.99"`, be), l.p99)
-		m.sample("setdiscovery_router_round_seconds_sum", fmt.Sprintf(`backend=%q`, be), l.sum)
-		m.sample("setdiscovery_router_round_seconds_count", fmt.Sprintf(`backend=%q`, be), float64(l.count))
+		m.Sample("setdiscovery_router_round_seconds", l.p50, "backend", l.name, "quantile", "0.5")
+		m.Sample("setdiscovery_router_round_seconds", l.p99, "backend", l.name, "quantile", "0.99")
+		m.Sample("setdiscovery_router_round_seconds_sum", l.sum, "backend", l.name)
+		m.Sample("setdiscovery_router_round_seconds_count", float64(l.count), "backend", l.name)
 	}
 
-	m.serve(w)
+	m.Serve(w)
 }

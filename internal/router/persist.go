@@ -1,13 +1,14 @@
 package router
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"sort"
 	"sync"
+
+	"setdiscovery/internal/codec"
 )
 
 // Durable routing state. With WithPersist the router journals every
@@ -133,109 +134,57 @@ func (st *logState) size() int { return len(st.backends) + len(st.owners) }
 
 // --- record encoding ---
 
-// appendString writes a length-prefixed string.
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
 // encodeRecord renders one record as a framed log entry: uvarint payload
 // length, payload, CRC32 (IEEE, little-endian) of the payload.
 func encodeRecord(r record) []byte {
-	payload := []byte{r.op}
+	p := codec.Writer{Buf: []byte{r.op}}
 	switch r.op {
 	case opAddBackend:
-		payload = appendString(payload, r.name)
-		payload = appendString(payload, r.url)
+		p.String(r.name)
+		p.String(r.url)
 	case opRemoveBackend:
-		payload = appendString(payload, r.name)
+		p.String(r.name)
 	case opSetDraining:
-		payload = appendString(payload, r.name)
-		f := byte(0)
-		if r.flag {
-			f = 1
-		}
-		payload = append(payload, f)
+		p.String(r.name)
+		p.Bool(r.flag)
 	case opSetOwner:
-		payload = appendString(payload, r.id)
-		payload = appendString(payload, r.name)
-		payload = appendString(payload, r.kindPath)
-		payload = appendString(payload, r.collection)
+		p.String(r.id)
+		p.String(r.name)
+		p.String(r.kindPath)
+		p.String(r.collection)
 	case opDropOwner:
-		payload = appendString(payload, r.id)
+		p.String(r.id)
 	}
-	out := binary.AppendUvarint(nil, uint64(len(payload)))
-	out = append(out, payload...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-}
-
-// readString decodes a length-prefixed string, bounding the length by the
-// remaining bytes before slicing.
-func readString(b []byte) (string, []byte, bool) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 || n > uint64(len(b)-k) {
-		return "", nil, false
-	}
-	return string(b[k : k+int(n)]), b[k+int(n):], true
+	var w codec.Writer
+	w.Bytes(p.Buf)
+	w.LE32(crc32.ChecksumIEEE(p.Buf))
+	return w.Buf
 }
 
 // decodeRecord parses one framed record's payload. ok=false means the
 // payload is malformed (replay treats that like a CRC failure: end of the
 // valid prefix).
 func decodeRecord(payload []byte) (record, bool) {
-	if len(payload) == 0 {
-		return record{}, false
-	}
-	r := record{op: payload[0]}
-	rest := payload[1:]
-	var ok bool
-	switch r.op {
+	r := codec.NewReader(payload, ErrBadLog)
+	rec := record{op: r.U8()}
+	switch rec.op {
 	case opAddBackend:
-		if r.name, rest, ok = readString(rest); !ok {
-			return record{}, false
-		}
-		if r.url, rest, ok = readString(rest); !ok {
-			return record{}, false
-		}
+		rec.name, rec.url = r.String(), r.String()
 	case opRemoveBackend:
-		if r.name, rest, ok = readString(rest); !ok {
-			return record{}, false
-		}
+		rec.name = r.String()
 	case opSetDraining:
-		if r.name, rest, ok = readString(rest); !ok {
-			return record{}, false
-		}
-		if len(rest) != 1 {
-			return record{}, false
-		}
-		r.flag = rest[0] == 1
-		rest = nil
+		rec.name = r.String()
+		rec.flag = r.U8() == 1
 	case opSetOwner:
-		if r.id, rest, ok = readString(rest); !ok {
-			return record{}, false
-		}
-		if r.name, rest, ok = readString(rest); !ok {
-			return record{}, false
-		}
-		if r.kindPath, rest, ok = readString(rest); !ok {
-			return record{}, false
-		}
-		if r.collection, rest, ok = readString(rest); !ok {
-			return record{}, false
-		}
+		rec.id, rec.name, rec.kindPath, rec.collection = r.String(), r.String(), r.String(), r.String()
 	case opDropOwner:
-		if r.id, rest, ok = readString(rest); !ok {
-			return record{}, false
-		}
+		rec.id = r.String()
 	default:
 		// Unknown op from a newer router: skip the record (the frame
 		// already CRC-checked), keeping the prefix valid.
-		return r, true
+		r.Rest()
 	}
-	if len(rest) != 0 {
-		return record{}, false
-	}
-	return r, true
+	return rec, r.End() == nil
 }
 
 // decodeLogState replays a log image. It returns the resulting state and
@@ -244,26 +193,21 @@ func decodeRecord(payload []byte) (record, bool) {
 // tolerated, not errors). Only a missing/foreign header errors, wrapping
 // ErrBadLog.
 func decodeLogState(data []byte) (*logState, int, error) {
-	if len(data) < len(logMagic)+1 {
-		return nil, 0, fmt.Errorf("%w: %d-byte file is shorter than the header", ErrBadLog, len(data))
+	r := codec.NewReader(data, ErrBadLog)
+	r.Magic(string(logMagic[:]))
+	if v := r.U8(); v != logVersion {
+		r.Fail("unsupported version %d", v)
 	}
-	if [4]byte(data[:4]) != logMagic {
-		return nil, 0, fmt.Errorf("%w: bad magic %q", ErrBadLog, data[:4])
-	}
-	if data[4] != logVersion {
-		return nil, 0, fmt.Errorf("%w: unsupported version %d", ErrBadLog, data[4])
+	if err := r.Err(); err != nil {
+		return nil, 0, err
 	}
 	st := newLogState()
-	valid := len(logMagic) + 1
-	rest := data[valid:]
-	for len(rest) > 0 {
-		n, k := binary.Uvarint(rest)
-		if k <= 0 || n > maxLogRecord || n+4 > uint64(len(rest)-k) {
-			break // torn or corrupt tail: replay ends at the last good record
-		}
-		payload := rest[k : k+int(n)]
-		crc := binary.LittleEndian.Uint32(rest[k+int(n) : k+int(n)+4])
-		if crc32.ChecksumIEEE(payload) != crc {
+	valid := len(data) - r.Len()
+	for r.Len() > 0 {
+		// A torn or corrupt tail ends replay at the last good record.
+		payload := r.Bytes()
+		crc := r.LE32()
+		if r.Err() != nil || len(payload) > maxLogRecord || crc32.ChecksumIEEE(payload) != crc {
 			break
 		}
 		rec, ok := decodeRecord(payload)
@@ -271,9 +215,7 @@ func decodeLogState(data []byte) (*logState, int, error) {
 			break
 		}
 		st.apply(rec)
-		advance := k + int(n) + 4
-		valid += advance
-		rest = rest[advance:]
+		valid = len(data) - r.Len()
 	}
 	return st, valid, nil
 }

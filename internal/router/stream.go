@@ -202,7 +202,7 @@ func (rt *Router) serveStreamConn(conn net.Conn) {
 	sem := make(chan struct{}, streamProxyWorkers)
 	var wg sync.WaitGroup
 	for {
-		m, err := wireproto.ReadFrame(br)
+		m, err := wireproto.ReadRequestFrame(br)
 		if err != nil {
 			if errors.Is(err, wireproto.ErrBadFrame) {
 				rt.logf("router: stream from %s: %v", conn.RemoteAddr(), err)

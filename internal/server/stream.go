@@ -66,7 +66,7 @@ func (s *Server) serveStreamConn(conn net.Conn) {
 	sem := make(chan struct{}, streamFrameWorkers)
 	var wg sync.WaitGroup
 	for {
-		m, err := wireproto.ReadFrame(br)
+		m, err := wireproto.ReadRequestFrame(br)
 		if err != nil {
 			// A malformed frame poisons the stream (framing is lost);
 			// transport errors and client hangups end it quietly.

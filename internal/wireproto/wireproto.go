@@ -12,7 +12,7 @@
 //	body:
 //	  u8       type      frame type (create/question/answer/result/error/batch-answer)
 //	  uvarint  channel   client-chosen stream id, ≥ 1
-//	  payload            type-specific, varint-encoded (the PR 5 state-codec discipline)
+//	  payload            type-specific, varint-encoded (the internal/codec discipline)
 //	  u32be    crc       CRC-32 (IEEE) of body[:len-4]
 //
 // Channels are strictly request/response: the client sends one frame on a
@@ -26,9 +26,12 @@
 // whose status codes mirror the JSON plane's HTTP statuses — the two planes
 // are views of one resource model and are test-pinned byte-identical.
 //
-// Decoders treat input as untrusted: every count is bounded by the
-// remaining input, every length is range-checked, and rejections wrap
-// ErrBadFrame, never panic (fuzz-enforced by FuzzWireFrame).
+// Decoders treat input as untrusted: they read through internal/codec, so
+// every count is bounded by the remaining input, every length is
+// range-checked, and rejections wrap ErrBadFrame, never panic
+// (fuzz-enforced by FuzzWireFrame). Servers read their clients' frames with
+// ReadRequestFrame, whose smaller size bound is what caps the memory one
+// well-formed frame can make them decode into.
 package wireproto
 
 import (
@@ -38,6 +41,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+
+	"setdiscovery/internal/codec"
 )
 
 // Preface opens every connection: magic plus the protocol version. Servers
@@ -50,6 +55,15 @@ const Preface = "SDWP\x01"
 // session's trail holds one candidate set per answer) and matches the JSON
 // plane's state-import body cap.
 const MaxFrame = 64 << 20
+
+// MaxRequestFrame bounds the body of a frame read by ReadRequestFrame. The
+// frames clients send (create, answer, batch-answer, result request) never
+// carry session state, so they share the JSON plane's 1 MiB request-body
+// cap. Decoding multiplies small encodings: a 4-byte batch-answer member
+// becomes a 96-byte MemberAnswer, a 1-byte string a 16-byte header. This
+// bound keeps a client frame's decoded form to tens of MiB, where MaxFrame
+// would allow gigabytes.
+const MaxRequestFrame = 1 << 20
 
 // minFrame is the smallest well-formed body: type (1) + channel (≥1) +
 // crc (4).
@@ -91,7 +105,10 @@ type Message interface {
 	// ChannelID returns the stream the message belongs to.
 	ChannelID() uint64
 
-	encodePayload(w *writer)
+	// appendPayload appends the type-specific payload to b. It takes and
+	// returns the slice, not a *codec.Writer, so the writer stays on the
+	// stack of each implementation despite the dynamic call.
+	appendPayload(b []byte) []byte
 }
 
 // SessionConfig mirrors the JSON plane's engine configuration; zero values
@@ -151,7 +168,8 @@ type MemberQuestion struct {
 // Question is the server's snapshot of a resource's pending interaction —
 // the response to create, answer and batch-answer frames. A single session
 // is a resource of one member (index 0). State carries the portable
-// snapshot when the request asked for it with WantState.
+// snapshot when the request asked for it with WantState; a decoded State
+// aliases the frame body it was read from.
 type Question struct {
 	Channel uint64
 	ID      string
@@ -247,23 +265,6 @@ func (m *ResultRequest) ChannelID() uint64 { return m.Channel }
 func (m *Result) ChannelID() uint64        { return m.Channel }
 func (m *Error) ChannelID() uint64         { return m.Channel }
 
-// writer appends the primitive encodings (the state-codec discipline:
-// varints for every integer, length-prefixed strings and byte blobs).
-type writer struct {
-	buf []byte
-}
-
-func (w *writer) u8(b byte)        { w.buf = append(w.buf, b) }
-func (w *writer) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
-func (w *writer) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-func (w *writer) bytes(b []byte) {
-	w.uvarint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
 // Create flag bits. createGroup gates the group-testing configuration
 // appended after the seeds — a pure extension: frames without the flag are
 // byte-identical to the pre-group encoding, so old peers interoperate.
@@ -275,7 +276,8 @@ const (
 	createGroup     = 1 << 4
 )
 
-func (m *Create) encodePayload(w *writer) {
+func (m *Create) appendPayload(b []byte) []byte {
+	w := codec.Writer{Buf: b}
 	var flags byte
 	if m.Tree {
 		flags |= createTree
@@ -292,30 +294,28 @@ func (m *Create) encodePayload(w *writer) {
 	if m.Config.GroupStrategy != "" {
 		flags |= createGroup
 	}
-	w.u8(flags)
-	w.str(m.AttachID)
-	w.str(m.Collection)
-	w.str(m.Config.Strategy)
-	w.str(m.Config.Metric)
-	w.uvarint(uint64(m.Config.K))
-	w.uvarint(uint64(m.Config.Q))
-	w.uvarint(uint64(m.Config.MaxQuestions))
-	w.uvarint(uint64(m.Config.BatchSize))
-	w.uvarint(uint64(len(m.Seeds)))
+	w.U8(flags)
+	w.String(m.AttachID)
+	w.String(m.Collection)
+	w.String(m.Config.Strategy)
+	w.String(m.Config.Metric)
+	w.Uvarint(uint64(m.Config.K))
+	w.Uvarint(uint64(m.Config.Q))
+	w.Uvarint(uint64(m.Config.MaxQuestions))
+	w.Uvarint(uint64(m.Config.BatchSize))
+	w.Uvarint(uint64(len(m.Seeds)))
 	for _, seed := range m.Seeds {
-		w.uvarint(uint64(len(seed)))
-		for _, s := range seed {
-			w.str(s)
-		}
+		writeStrings(&w, seed)
 	}
 	if m.Config.GroupStrategy != "" {
-		w.str(m.Config.GroupStrategy)
-		w.uvarint(uint64(len(m.Config.GroupConstraints)))
+		w.String(m.Config.GroupStrategy)
+		w.Uvarint(uint64(len(m.Config.GroupConstraints)))
 		for _, c := range m.Config.GroupConstraints {
-			w.str(c[0])
-			w.str(c[1])
+			w.String(c[0])
+			w.String(c[1])
 		}
 	}
+	return w.Buf
 }
 
 // Question flag bits. memberSubset gates a set-valued question's semantics
@@ -328,7 +328,8 @@ const (
 	memberSubset     = 1 << 1
 )
 
-func (m *Question) encodePayload(w *writer) {
+func (m *Question) appendPayload(b []byte) []byte {
+	w := codec.Writer{Buf: b}
 	var flags byte
 	if m.Done {
 		flags |= questionDone
@@ -336,11 +337,11 @@ func (m *Question) encodePayload(w *writer) {
 	if len(m.State) > 0 {
 		flags |= questionHasState
 	}
-	w.u8(flags)
-	w.str(m.ID)
-	w.uvarint(uint64(len(m.Members)))
+	w.U8(flags)
+	w.String(m.ID)
+	w.Uvarint(uint64(len(m.Members)))
 	for _, mq := range m.Members {
-		w.uvarint(uint64(mq.Member))
+		w.Uvarint(uint64(mq.Member))
 		var mf byte
 		if mq.Done {
 			mf |= memberDone
@@ -348,22 +349,20 @@ func (m *Question) encodePayload(w *writer) {
 		if len(mq.Subset) > 0 {
 			mf |= memberSubset
 		}
-		w.u8(mf)
-		w.str(mq.Entity)
-		w.str(mq.Confirm)
-		w.uvarint(uint64(mq.Questions))
-		w.str(mq.Error)
+		w.U8(mf)
+		w.String(mq.Entity)
+		w.String(mq.Confirm)
+		w.Uvarint(uint64(mq.Questions))
+		w.String(mq.Error)
 		if len(mq.Subset) > 0 {
-			w.str(mq.Semantics)
-			w.uvarint(uint64(len(mq.Subset)))
-			for _, s := range mq.Subset {
-				w.str(s)
-			}
+			w.String(mq.Semantics)
+			writeStrings(&w, mq.Subset)
 		}
 	}
 	if len(m.State) > 0 {
-		w.bytes(m.State)
+		w.Bytes(m.State)
 	}
+	return w.Buf
 }
 
 // Answer flag bits. answerSubset gates the subset-question assertion
@@ -374,7 +373,8 @@ const (
 	answerSubset    = 1 << 1
 )
 
-func (m *Answer) encodePayload(w *writer) {
+func (m *Answer) appendPayload(b []byte) []byte {
+	w := codec.Writer{Buf: b}
 	var flags byte
 	if m.WantState {
 		flags |= answerWantState
@@ -382,20 +382,19 @@ func (m *Answer) encodePayload(w *writer) {
 	if len(m.Subset) > 0 {
 		flags |= answerSubset
 	}
-	w.u8(flags)
-	w.str(m.Answer)
-	w.str(m.Entity)
-	w.str(m.Confirm)
+	w.U8(flags)
+	w.String(m.Answer)
+	w.String(m.Entity)
+	w.String(m.Confirm)
 	if len(m.Subset) > 0 {
-		w.str(m.Semantics)
-		w.uvarint(uint64(len(m.Subset)))
-		for _, s := range m.Subset {
-			w.str(s)
-		}
+		w.String(m.Semantics)
+		writeStrings(&w, m.Subset)
 	}
+	return w.Buf
 }
 
-func (m *BatchAnswer) encodePayload(w *writer) {
+func (m *BatchAnswer) appendPayload(b []byte) []byte {
+	w := codec.Writer{Buf: b}
 	var flags byte
 	if m.WantState {
 		flags |= answerWantState
@@ -410,56 +409,55 @@ func (m *BatchAnswer) encodePayload(w *writer) {
 	if group {
 		flags |= answerSubset
 	}
-	w.u8(flags)
-	w.uvarint(uint64(len(m.Answers)))
+	w.U8(flags)
+	w.Uvarint(uint64(len(m.Answers)))
 	for _, a := range m.Answers {
-		w.uvarint(uint64(a.Member))
-		w.str(a.Answer)
-		w.str(a.Entity)
-		w.str(a.Confirm)
+		w.Uvarint(uint64(a.Member))
+		w.String(a.Answer)
+		w.String(a.Entity)
+		w.String(a.Confirm)
 		if group {
-			w.str(a.Semantics)
-			w.uvarint(uint64(len(a.Subset)))
-			for _, s := range a.Subset {
-				w.str(s)
-			}
+			w.String(a.Semantics)
+			writeStrings(&w, a.Subset)
 		}
 	}
+	return w.Buf
 }
 
-func (m *ResultRequest) encodePayload(w *writer) {}
+func (m *ResultRequest) appendPayload(b []byte) []byte { return b }
 
-func (m *Result) encodePayload(w *writer) {
+func (m *Result) appendPayload(b []byte) []byte {
+	w := codec.Writer{Buf: b}
 	var flags byte
 	if m.Done {
 		flags |= questionDone
 	}
-	w.u8(flags)
-	w.str(m.ID)
-	w.uvarint(uint64(len(m.Members)))
+	w.U8(flags)
+	w.String(m.ID)
+	w.Uvarint(uint64(len(m.Members)))
 	for _, mr := range m.Members {
-		w.uvarint(uint64(mr.Member))
+		w.Uvarint(uint64(mr.Member))
 		var mf byte
 		if mr.Done {
 			mf |= memberDone
 		}
-		w.u8(mf)
-		w.str(mr.Target)
-		w.uvarint(uint64(len(mr.Candidates)))
-		for _, c := range mr.Candidates {
-			w.str(c)
-		}
-		w.uvarint(uint64(mr.Questions))
-		w.uvarint(uint64(mr.Interactions))
-		w.uvarint(uint64(mr.Backtracks))
-		w.uvarint(uint64(mr.SelectionTimeUS))
-		w.str(mr.Error)
+		w.U8(mf)
+		w.String(mr.Target)
+		writeStrings(&w, mr.Candidates)
+		w.Uvarint(uint64(mr.Questions))
+		w.Uvarint(uint64(mr.Interactions))
+		w.Uvarint(uint64(mr.Backtracks))
+		w.Uvarint(uint64(mr.SelectionTimeUS))
+		w.String(mr.Error)
 	}
+	return w.Buf
 }
 
-func (m *Error) encodePayload(w *writer) {
-	w.uvarint(uint64(m.Status))
-	w.str(m.Msg)
+func (m *Error) appendPayload(b []byte) []byte {
+	w := codec.Writer{Buf: b}
+	w.Uvarint(uint64(m.Status))
+	w.String(m.Msg)
+	return w.Buf
 }
 
 // AppendFrame appends m's complete frame encoding (length prefix, body,
@@ -469,28 +467,32 @@ func AppendFrame(dst []byte, m Message) ([]byte, error) {
 	if m.ChannelID() == 0 {
 		return dst, errors.New("wireproto: channel 0 is reserved")
 	}
-	w := &writer{buf: dst}
-	w.buf = append(w.buf, 0, 0, 0, 0) // length placeholder
-	start := len(w.buf)
-	w.u8(byte(m.Type()))
-	w.uvarint(m.ChannelID())
-	m.encodePayload(w)
-	body := w.buf[start:]
-	sum := crc32.ChecksumIEEE(body)
-	w.buf = binary.BigEndian.AppendUint32(w.buf, sum)
-	bodyLen := len(w.buf) - start
+	w := codec.Writer{Buf: append(dst, 0, 0, 0, 0)} // length placeholder
+	start := len(w.Buf)
+	w.U8(byte(m.Type()))
+	w.Uvarint(m.ChannelID())
+	w.Buf = m.appendPayload(w.Buf)
+	w.Buf = binary.BigEndian.AppendUint32(w.Buf, crc32.ChecksumIEEE(w.Buf[start:]))
+	bodyLen := len(w.Buf) - start
 	if bodyLen > MaxFrame {
 		return dst, fmt.Errorf("wireproto: frame of %d bytes exceeds MaxFrame", bodyLen)
 	}
-	binary.BigEndian.PutUint32(w.buf[start-4:start], uint32(bodyLen))
-	return w.buf, nil
+	binary.BigEndian.PutUint32(w.Buf[start-4:start], uint32(bodyLen))
+	return w.Buf, nil
 }
 
-// ReadFrame reads and decodes one frame from r. It returns io.EOF only on a
-// clean end before any byte of a frame; every other failure — truncation
-// mid-frame, oversized length, CRC mismatch, malformed payload — wraps
-// ErrBadFrame (except transport errors from r itself, which pass through).
-func ReadFrame(r io.Reader) (Message, error) {
+// ReadFrame reads and decodes one frame of at most MaxFrame bytes from r. It
+// returns io.EOF only on a clean end before any byte of a frame; every other
+// failure — truncation mid-frame, oversized length, CRC mismatch, malformed
+// payload — wraps ErrBadFrame (except transport errors from r itself, which
+// pass through).
+func ReadFrame(r io.Reader) (Message, error) { return readFrame(r, MaxFrame) }
+
+// ReadRequestFrame is ReadFrame for servers reading their clients' frames:
+// it rejects bodies above MaxRequestFrame before reading them.
+func ReadRequestFrame(r io.Reader) (Message, error) { return readFrame(r, MaxRequestFrame) }
+
+func readFrame(r io.Reader, maxBody uint32) (Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
@@ -499,7 +501,7 @@ func ReadFrame(r io.Reader) (Message, error) {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n < minFrame || n > MaxFrame {
+	if n < minFrame || n > maxBody {
 		return nil, badFrame("frame length %d out of range", n)
 	}
 	body := make([]byte, min(int(n), frameChunk))
@@ -532,461 +534,170 @@ func DecodeFrame(body []byte) (Message, error) {
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, badFrame("crc mismatch: computed %08x, frame says %08x", got, want)
 	}
-	r := &reader{data: payload}
-	t, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	ch, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
+	r := codec.NewReader(payload, ErrBadFrame)
+	t := FrameType(r.U8())
+	ch := r.Uvarint()
 	if ch == 0 {
-		return nil, badFrame("channel 0 is reserved")
+		r.Fail("channel 0 is reserved")
 	}
 	var m Message
-	switch FrameType(t) {
+	switch t {
 	case TypeCreate:
-		m, err = decodeCreate(r, ch)
+		m = decodeCreate(&r, ch)
 	case TypeQuestion:
-		m, err = decodeQuestion(r, ch)
+		m = decodeQuestion(&r, ch)
 	case TypeAnswer:
-		m, err = decodeAnswer(r, ch)
+		m = decodeAnswer(&r, ch)
 	case TypeBatchAnswer:
-		m, err = decodeBatchAnswer(r, ch)
+		m = decodeBatchAnswer(&r, ch)
 	case TypeResult:
-		if len(r.data) == 0 {
-			return &ResultRequest{Channel: ch}, nil
+		if r.Len() == 0 {
+			m = &ResultRequest{Channel: ch}
+		} else {
+			m = decodeResult(&r, ch)
 		}
-		m, err = decodeResult(r, ch)
 	case TypeError:
-		m, err = decodeError(r, ch)
+		m = &Error{Channel: ch, Status: num(&r), Msg: r.String()}
 	default:
-		return nil, badFrame("unknown frame type %d", t)
+		r.Fail("unknown frame type %d", t)
 	}
-	if err != nil {
+	if err := r.End(); err != nil {
 		return nil, err
-	}
-	if len(r.data) != 0 {
-		return nil, badFrame("%d trailing bytes after payload", len(r.data))
 	}
 	return m, nil
 }
 
-// reader consumes the primitive encodings, validating every length against
-// the remaining input so hostile frames cannot size allocations.
-type reader struct {
-	data []byte
+// num decodes a non-negative integer bounded so it can never overflow an
+// int32: every numeric field here (counts, statuses, member indexes) is far
+// below that.
+func num(r *codec.Reader) int { return int(r.Uint(math.MaxInt32)) }
+
+// Minimum encoded sizes of the counted list elements, which bound each
+// count by the remaining input: one byte per string or number, plus the
+// flag bytes, and the group fields when a subset flag promises them.
+const (
+	minMemberQuestion = 6 // member, flags, entity, confirm, questions, error
+	minMemberAnswer   = 4 // member, answer, entity, confirm
+	minMemberResult   = 9 // member, flags, target, candidates, 4 counters, error
+)
+
+// readStrings reads a counted string list (nil when empty, so
+// encode→decode round-trips exactly).
+func readStrings(r *codec.Reader) []string { return codec.List(r, 1, math.MaxInt32, r.String) }
+
+func writeStrings(w *codec.Writer, list []string) {
+	w.Uvarint(uint64(len(list)))
+	for _, s := range list {
+		w.String(s)
+	}
 }
 
-func (r *reader) u8() (byte, error) {
-	if len(r.data) == 0 {
-		return 0, badFrame("truncated payload")
-	}
-	b := r.data[0]
-	r.data = r.data[1:]
-	return b, nil
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
-		return 0, badFrame("bad varint")
-	}
-	r.data = r.data[n:]
-	return v, nil
-}
-
-// num decodes a non-negative integer, bounded so it can never overflow an
-// int32 (every numeric field here — counts, statuses, member indexes — is
-// far below that).
-func (r *reader) num() (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt32 {
-		return 0, badFrame("number %d out of range", v)
-	}
-	return int(v), nil
-}
-
-// num64 decodes a non-negative 64-bit value (selection time in µs).
-func (r *reader) num64() (int64, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt64 {
-		return 0, badFrame("number %d out of range", v)
-	}
-	return int64(v), nil
-}
-
-// count reads a list length and bounds it by the remaining input (every
-// element costs at least one byte), so a forged count cannot force a huge
-// allocation or spin an accumulation loop.
-func (r *reader) count() (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(len(r.data)) {
-		return 0, badFrame("count %d exceeds remaining %d bytes", v, len(r.data))
-	}
-	return int(v), nil
-}
-
-func (r *reader) str() (string, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if v > uint64(len(r.data)) {
-		return "", badFrame("string of %d bytes exceeds remaining %d", v, len(r.data))
-	}
-	s := string(r.data[:v])
-	r.data = r.data[v:]
-	return s, nil
-}
-
-// blob reads a length-prefixed byte string, nil when empty so encode→decode
-// round-trips exactly.
-func (r *reader) blob() ([]byte, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if v > uint64(len(r.data)) {
-		return nil, badFrame("blob of %d bytes exceeds remaining %d", v, len(r.data))
-	}
-	if v == 0 {
-		return nil, nil
-	}
-	b := make([]byte, v)
-	copy(b, r.data[:v])
-	r.data = r.data[v:]
-	return b, nil
-}
-
-func decodeCreate(r *reader, ch uint64) (Message, error) {
-	flags, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
+func decodeCreate(r *codec.Reader, ch uint64) Message {
+	flags := r.U8()
 	m := &Create{
-		Channel:   ch,
-		Tree:      flags&createTree != 0,
-		WantState: flags&createWantState != 0,
-		Batch:     flags&createBatch != 0,
+		Channel:    ch,
+		Tree:       flags&createTree != 0,
+		WantState:  flags&createWantState != 0,
+		Batch:      flags&createBatch != 0,
+		AttachID:   r.String(),
+		Collection: r.String(),
 	}
-	m.Config.Backtrack = flags&createBacktrack != 0
-	if m.AttachID, err = r.str(); err != nil {
-		return nil, err
+	m.Config = SessionConfig{
+		Backtrack:    flags&createBacktrack != 0,
+		Strategy:     r.String(),
+		Metric:       r.String(),
+		K:            num(r),
+		Q:            num(r),
+		MaxQuestions: num(r),
+		BatchSize:    num(r),
 	}
-	if m.Collection, err = r.str(); err != nil {
-		return nil, err
-	}
-	if m.Config.Strategy, err = r.str(); err != nil {
-		return nil, err
-	}
-	if m.Config.Metric, err = r.str(); err != nil {
-		return nil, err
-	}
-	if m.Config.K, err = r.num(); err != nil {
-		return nil, err
-	}
-	if m.Config.Q, err = r.num(); err != nil {
-		return nil, err
-	}
-	if m.Config.MaxQuestions, err = r.num(); err != nil {
-		return nil, err
-	}
-	if m.Config.BatchSize, err = r.num(); err != nil {
-		return nil, err
-	}
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		m.Seeds = make([][]string, 0, n)
-		for i := 0; i < n; i++ {
-			k, err := r.count()
-			if err != nil {
-				return nil, err
-			}
-			var seed []string
-			if k > 0 {
-				seed = make([]string, 0, k)
-				for j := 0; j < k; j++ {
-					s, err := r.str()
-					if err != nil {
-						return nil, err
-					}
-					seed = append(seed, s)
-				}
-			}
-			m.Seeds = append(m.Seeds, seed)
-		}
-	}
+	m.Seeds = codec.List(r, 1, math.MaxInt32, func() []string { return readStrings(r) })
 	if flags&createGroup != 0 {
-		if m.Config.GroupStrategy, err = r.str(); err != nil {
-			return nil, err
+		if m.Config.GroupStrategy = r.String(); m.Config.GroupStrategy == "" {
+			r.Fail("group flag set but group strategy is empty")
 		}
-		if m.Config.GroupStrategy == "" {
-			return nil, badFrame("group flag set but group strategy is empty")
-		}
-		k, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		if k > 0 {
-			m.Config.GroupConstraints = make([][2]string, 0, k)
-			for i := 0; i < k; i++ {
-				var c [2]string
-				if c[0], err = r.str(); err != nil {
-					return nil, err
-				}
-				if c[1], err = r.str(); err != nil {
-					return nil, err
-				}
-				m.Config.GroupConstraints = append(m.Config.GroupConstraints, c)
-			}
-		}
+		m.Config.GroupConstraints = codec.List(r, 2, math.MaxInt32, func() [2]string { return [2]string{r.String(), r.String()} })
 	}
-	return m, nil
+	return m
 }
 
-// readSubset reads a flag-gated subset block: semantics, member count,
-// member names. Callers enforce their own non-empty requirements.
-func readSubset(r *reader) (sem string, members []string, err error) {
-	if sem, err = r.str(); err != nil {
-		return "", nil, err
-	}
-	n, err := r.count()
-	if err != nil {
-		return "", nil, err
-	}
-	if n > 0 {
-		members = make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			s, err := r.str()
-			if err != nil {
-				return "", nil, err
+func decodeQuestion(r *codec.Reader, ch uint64) Message {
+	flags := r.U8()
+	m := &Question{Channel: ch, Done: flags&questionDone != 0, ID: r.String()}
+	m.Members = codec.List(r, minMemberQuestion, math.MaxInt32, func() MemberQuestion {
+		mq := MemberQuestion{Member: num(r)}
+		mf := r.U8()
+		mq.Done = mf&memberDone != 0
+		mq.Entity, mq.Confirm, mq.Questions, mq.Error = r.String(), r.String(), num(r), r.String()
+		if mf&memberSubset != 0 {
+			if mq.Semantics, mq.Subset = r.String(), readStrings(r); len(mq.Subset) == 0 {
+				r.Fail("subset flag set but subset is empty")
 			}
-			members = append(members, s)
 		}
-	}
-	return sem, members, nil
-}
-
-func decodeQuestion(r *reader, ch uint64) (Message, error) {
-	flags, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	m := &Question{Channel: ch, Done: flags&questionDone != 0}
-	if m.ID, err = r.str(); err != nil {
-		return nil, err
-	}
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		m.Members = make([]MemberQuestion, 0, n)
-		for i := 0; i < n; i++ {
-			var mq MemberQuestion
-			if mq.Member, err = r.num(); err != nil {
-				return nil, err
-			}
-			mf, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			mq.Done = mf&memberDone != 0
-			if mq.Entity, err = r.str(); err != nil {
-				return nil, err
-			}
-			if mq.Confirm, err = r.str(); err != nil {
-				return nil, err
-			}
-			if mq.Questions, err = r.num(); err != nil {
-				return nil, err
-			}
-			if mq.Error, err = r.str(); err != nil {
-				return nil, err
-			}
-			if mf&memberSubset != 0 {
-				if mq.Semantics, mq.Subset, err = readSubset(r); err != nil {
-					return nil, err
-				}
-				if len(mq.Subset) == 0 {
-					return nil, badFrame("subset flag set but subset is empty")
-				}
-			}
-			m.Members = append(m.Members, mq)
-		}
-	}
+		return mq
+	})
 	if flags&questionHasState != 0 {
-		if m.State, err = r.blob(); err != nil {
-			return nil, err
-		}
-		if len(m.State) == 0 {
-			return nil, badFrame("state flag set but state is empty")
+		if m.State = r.Bytes(); len(m.State) == 0 {
+			r.Fail("state flag set but state is empty")
 		}
 	}
-	return m, nil
+	return m
 }
 
-func decodeAnswer(r *reader, ch uint64) (Message, error) {
-	flags, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	m := &Answer{Channel: ch, WantState: flags&answerWantState != 0}
-	if m.Answer, err = r.str(); err != nil {
-		return nil, err
-	}
-	if m.Entity, err = r.str(); err != nil {
-		return nil, err
-	}
-	if m.Confirm, err = r.str(); err != nil {
-		return nil, err
+func decodeAnswer(r *codec.Reader, ch uint64) Message {
+	flags := r.U8()
+	m := &Answer{
+		Channel:   ch,
+		WantState: flags&answerWantState != 0,
+		Answer:    r.String(),
+		Entity:    r.String(),
+		Confirm:   r.String(),
 	}
 	if flags&answerSubset != 0 {
-		if m.Semantics, m.Subset, err = readSubset(r); err != nil {
-			return nil, err
-		}
-		if len(m.Subset) == 0 {
-			return nil, badFrame("subset flag set but subset is empty")
+		if m.Semantics, m.Subset = r.String(), readStrings(r); len(m.Subset) == 0 {
+			r.Fail("subset flag set but subset is empty")
 		}
 	}
-	return m, nil
+	return m
 }
 
-func decodeBatchAnswer(r *reader, ch uint64) (Message, error) {
-	flags, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
+func decodeBatchAnswer(r *codec.Reader, ch uint64) Message {
+	flags := r.U8()
 	m := &BatchAnswer{Channel: ch, WantState: flags&answerWantState != 0}
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
 	group := flags&answerSubset != 0
-	anySubset := false
-	if n > 0 {
-		m.Answers = make([]MemberAnswer, 0, n)
-		for i := 0; i < n; i++ {
-			var a MemberAnswer
-			if a.Member, err = r.num(); err != nil {
-				return nil, err
-			}
-			if a.Answer, err = r.str(); err != nil {
-				return nil, err
-			}
-			if a.Entity, err = r.str(); err != nil {
-				return nil, err
-			}
-			if a.Confirm, err = r.str(); err != nil {
-				return nil, err
-			}
-			if group {
-				if a.Semantics, a.Subset, err = readSubset(r); err != nil {
-					return nil, err
-				}
-				if len(a.Subset) > 0 {
-					anySubset = true
-				}
-			}
-			m.Answers = append(m.Answers, a)
-		}
+	minBytes := minMemberAnswer
+	if group {
+		minBytes += 2 // semantics, subset
 	}
+	anySubset := false
+	m.Answers = codec.List(r, minBytes, math.MaxInt32, func() MemberAnswer {
+		a := MemberAnswer{Member: num(r), Answer: r.String(), Entity: r.String(), Confirm: r.String()}
+		if group {
+			a.Semantics, a.Subset = r.String(), readStrings(r)
+			anySubset = anySubset || len(a.Subset) > 0
+		}
+		return a
+	})
 	// The encoder sets the flag only when some member asserts a subset;
 	// rejecting the degenerate frame keeps encodings canonical (round-trip
 	// byte identity, which the fuzz targets pin).
 	if group && !anySubset {
-		return nil, badFrame("subset flag set but no member asserts a subset")
+		r.Fail("subset flag set but no member asserts a subset")
 	}
-	return m, nil
+	return m
 }
 
-func decodeResult(r *reader, ch uint64) (Message, error) {
-	flags, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	m := &Result{Channel: ch, Done: flags&questionDone != 0}
-	if m.ID, err = r.str(); err != nil {
-		return nil, err
-	}
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		m.Members = make([]MemberResult, 0, n)
-		for i := 0; i < n; i++ {
-			var mr MemberResult
-			if mr.Member, err = r.num(); err != nil {
-				return nil, err
-			}
-			mf, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			mr.Done = mf&memberDone != 0
-			if mr.Target, err = r.str(); err != nil {
-				return nil, err
-			}
-			k, err := r.count()
-			if err != nil {
-				return nil, err
-			}
-			if k > 0 {
-				mr.Candidates = make([]string, 0, k)
-				for j := 0; j < k; j++ {
-					c, err := r.str()
-					if err != nil {
-						return nil, err
-					}
-					mr.Candidates = append(mr.Candidates, c)
-				}
-			}
-			if mr.Questions, err = r.num(); err != nil {
-				return nil, err
-			}
-			if mr.Interactions, err = r.num(); err != nil {
-				return nil, err
-			}
-			if mr.Backtracks, err = r.num(); err != nil {
-				return nil, err
-			}
-			if mr.SelectionTimeUS, err = r.num64(); err != nil {
-				return nil, err
-			}
-			if mr.Error, err = r.str(); err != nil {
-				return nil, err
-			}
-			m.Members = append(m.Members, mr)
-		}
-	}
-	return m, nil
-}
-
-func decodeError(r *reader, ch uint64) (Message, error) {
-	m := &Error{Channel: ch}
-	var err error
-	if m.Status, err = r.num(); err != nil {
-		return nil, err
-	}
-	if m.Msg, err = r.str(); err != nil {
-		return nil, err
-	}
-	return m, nil
+func decodeResult(r *codec.Reader, ch uint64) Message {
+	flags := r.U8()
+	m := &Result{Channel: ch, Done: flags&questionDone != 0, ID: r.String()}
+	m.Members = codec.List(r, minMemberResult, math.MaxInt32, func() MemberResult {
+		mr := MemberResult{Member: num(r), Done: r.U8()&memberDone != 0, Target: r.String(), Candidates: readStrings(r)}
+		mr.Questions, mr.Interactions, mr.Backtracks = num(r), num(r), num(r)
+		mr.SelectionTimeUS = int64(r.Uint(math.MaxInt64))
+		mr.Error = r.String()
+		return mr
+	})
+	return m
 }
 
 // WritePreface sends the connection preface; clients call it once before

@@ -13,6 +13,8 @@ import (
 	"testing"
 	"testing/iotest"
 	"time"
+
+	"setdiscovery/internal/codec"
 )
 
 // sampleMessages covers every frame type with populated and zero-ish
@@ -219,23 +221,22 @@ func TestDecodeRejections(t *testing.T) {
 	})
 	t.Run("hostile count", func(t *testing.T) {
 		// Batch-answer claiming 2^40 members in a tiny frame.
-		body := []byte{byte(TypeBatchAnswer), 1, 0}
-		w := &writer{buf: body}
-		w.uvarint(1 << 40)
-		if _, err := DecodeFrame(reframe(w.buf)); !errors.Is(err, ErrBadFrame) {
+		w := codec.Writer{Buf: []byte{byte(TypeBatchAnswer), 1, 0}}
+		w.Uvarint(1 << 40)
+		if _, err := DecodeFrame(reframe(w.Buf)); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("got %v, want ErrBadFrame", err)
 		}
 	})
 	t.Run("empty state with flag", func(t *testing.T) {
 		// Question with the hasState flag but a zero-length state blob.
-		w := &writer{}
-		w.u8(byte(TypeQuestion))
-		w.uvarint(3)
-		w.u8(questionHasState)
-		w.str("id")
-		w.uvarint(0) // members
-		w.uvarint(0) // empty state
-		if _, err := DecodeFrame(reframe(w.buf)); !errors.Is(err, ErrBadFrame) {
+		var w codec.Writer
+		w.U8(byte(TypeQuestion))
+		w.Uvarint(3)
+		w.U8(questionHasState)
+		w.String("id")
+		w.Uvarint(0) // members
+		w.Uvarint(0) // empty state
+		if _, err := DecodeFrame(reframe(w.Buf)); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("got %v, want ErrBadFrame", err)
 		}
 	})
@@ -244,6 +245,146 @@ func TestDecodeRejections(t *testing.T) {
 			t.Fatal("AppendFrame accepted channel 0")
 		}
 	})
+}
+
+// TestDecodeHostileCounts: a counted list whose count equals the remaining
+// body bytes must be rejected without allocating the list it claims. Each
+// element would hold 16 to 120 bytes in memory, so a decoder that sizes the
+// list by the count allocates many times the frame before it fails.
+func TestDecodeHostileCounts(t *testing.T) {
+	const bodyBytes = 1 << 20
+	cases := []struct {
+		name   string
+		prefix func(w *codec.Writer)
+	}{
+		{"create seeds", func(w *codec.Writer) {
+			w.U8(byte(TypeCreate))
+			w.Uvarint(1)
+			w.U8(0)                           // flags
+			w.Buf = append(w.Buf, 0, 0, 0, 0) // attach, collection, strategy, metric
+			w.Buf = append(w.Buf, 0, 0, 0, 0) // k, q, max questions, batch size
+		}},
+		{"question members", func(w *codec.Writer) {
+			w.U8(byte(TypeQuestion))
+			w.Uvarint(1)
+			w.U8(0)
+			w.String("s-1")
+		}},
+		{"batch-answer answers", func(w *codec.Writer) {
+			w.U8(byte(TypeBatchAnswer))
+			w.Uvarint(1)
+			w.U8(0)
+		}},
+		{"result members", func(w *codec.Writer) {
+			w.U8(byte(TypeResult))
+			w.Uvarint(1)
+			w.U8(0)
+			w.String("s-1")
+		}},
+		{"result candidates", func(w *codec.Writer) {
+			w.U8(byte(TypeResult))
+			w.Uvarint(1)
+			w.U8(0)
+			w.String("s-1")
+			w.Uvarint(1)                   // one member
+			w.Buf = append(w.Buf, 0, 0, 0) // member, flags, target
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var w codec.Writer
+			tc.prefix(&w)
+			// The count claims one element per remaining byte, and the
+			// remaining bytes are garbage.
+			w.Uvarint(bodyBytes)
+			w.Buf = append(w.Buf, bytes.Repeat([]byte{0xff}, bodyBytes)...)
+			frame := reframe(w.Buf)
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := DecodeFrame(frame)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("got %v, want ErrBadFrame", err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(len(frame)) {
+				t.Fatalf("decoding a %d-byte frame allocated %d bytes", len(frame), alloc)
+			}
+		})
+	}
+}
+
+// TestReadRequestFrameBoundsDecode: well-formed lists of minimal elements
+// decode to many times their encoding (an all-zero batch-answer member is 4
+// bytes on the wire and a 96-byte MemberAnswer in memory), so the count
+// bound alone does not cap what a client frame costs. ReadRequestFrame does:
+// a frame at MaxRequestFrame decodes into tens of MiB, and a longer one is
+// rejected before its body is read.
+func TestReadRequestFrameBoundsDecode(t *testing.T) {
+	cases := []struct {
+		name    string
+		minElem int
+		prefix  func(w *codec.Writer)
+	}{
+		{"create seeds", 1, func(w *codec.Writer) {
+			w.U8(byte(TypeCreate))
+			w.Uvarint(1)
+			w.U8(0)                           // flags
+			w.Buf = append(w.Buf, 0, 0, 0, 0) // attach, collection, strategy, metric
+			w.Buf = append(w.Buf, 0, 0, 0, 0) // k, q, max questions, batch size
+		}},
+		{"answer subset", 1, func(w *codec.Writer) {
+			w.U8(byte(TypeAnswer))
+			w.Uvarint(1)
+			w.U8(answerSubset)
+			w.Buf = append(w.Buf, 0, 0, 0, 0) // answer, entity, confirm, semantics
+		}},
+		{"batch-answer answers", minMemberAnswer, func(w *codec.Writer) {
+			w.U8(byte(TypeBatchAnswer))
+			w.Uvarint(1)
+			w.U8(0)
+		}},
+		{"result members", minMemberResult, func(w *codec.Writer) {
+			w.U8(byte(TypeResult))
+			w.Uvarint(1)
+			w.U8(0)
+			w.String("s-1")
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var w codec.Writer
+			tc.prefix(&w)
+			n := (MaxRequestFrame - len(w.Buf) - 4 - 4) / tc.minElem // count varint ≤ 4 bytes, CRC
+			w.Uvarint(uint64(n))
+			w.Buf = append(w.Buf, make([]byte, n*tc.minElem)...)
+			body := reframe(w.Buf)
+			frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+			frame = append(frame, body...)
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ReadRequestFrame(bytes.NewReader(frame))
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("%d-byte request frame: %v", len(body), err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64*MaxRequestFrame {
+				t.Fatalf("decoding a %d-byte request frame allocated %d bytes", len(body), alloc)
+			}
+
+			binary.BigEndian.PutUint32(frame, MaxRequestFrame+1)
+			runtime.ReadMemStats(&before)
+			_, err = ReadRequestFrame(bytes.NewReader(frame))
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("oversized request frame: got %v, want ErrBadFrame", err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= frameChunk {
+				t.Fatalf("rejecting an oversized request frame allocated %d bytes", alloc)
+			}
+		})
+	}
 }
 
 // reframe wraps a raw body with a valid CRC (but no length prefix) for

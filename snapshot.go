@@ -1,10 +1,10 @@
 package setdiscovery
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
+	"setdiscovery/internal/codec"
 	"setdiscovery/internal/dataset"
 	"setdiscovery/internal/discovery"
 	"setdiscovery/internal/strategy"
@@ -113,20 +113,9 @@ var ErrBadSnapshot = errors.New("setdiscovery: invalid snapshot")
 func (s *Session) Snapshot() ([]byte, error) {
 	switch core := s.s.(type) {
 	case *discovery.Session:
-		// Group sessions need the version-3 envelope: restoring one requires
-		// the group section to mint the right strategy.
-		if s.cfg.groupStrategy != "" {
-			w := newEnvelopeVersion(snapshotVersionGroup, SnapshotSession, s.c.c.ContentFingerprint())
-			w.config(s.cfg)
-			w.groupConfig(s.cfg)
-			return append(w.buf, core.EncodeState()...), nil
-		}
-		w := newEnvelope(SnapshotSession, s.c.c.ContentFingerprint())
-		w.config(s.cfg)
-		return append(w.buf, core.EncodeState()...), nil
+		return envelope(SnapshotSession, s.c, &s.cfg, core.EncodeState()), nil
 	case *discovery.TreeSession:
-		w := newEnvelope(SnapshotTreeSession, s.c.c.ContentFingerprint())
-		return append(w.buf, core.EncodeState()...), nil
+		return envelope(SnapshotTreeSession, s.c, nil, core.EncodeState()), nil
 	default:
 		return nil, fmt.Errorf("setdiscovery: unsupported session core %T", s.s)
 	}
@@ -136,16 +125,7 @@ func (s *Session) Snapshot() ([]byte, error) {
 // the scheduler's amortisation counters. Restore with
 // Collection.RestoreBatch.
 func (b *Batch) Snapshot() ([]byte, error) {
-	version := byte(snapshotVersion)
-	if b.cfg.groupStrategy != "" {
-		version = snapshotVersionGroup
-	}
-	w := newEnvelopeVersion(version, SnapshotBatch, b.c.c.ContentFingerprint())
-	w.config(b.cfg)
-	if b.cfg.groupStrategy != "" {
-		w.groupConfig(b.cfg)
-	}
-	return append(w.buf, b.b.EncodeState()...), nil
+	return envelope(SnapshotBatch, b.c, &b.cfg, b.b.EncodeState()), nil
 }
 
 // RestoreSession reconstructs a session from Snapshot output, bound to this
@@ -224,8 +204,9 @@ type SnapshotInfo struct {
 
 // ReadSnapshotInfo peeks at a snapshot's envelope header.
 func ReadSnapshotInfo(data []byte) (SnapshotInfo, error) {
-	_, kind, _, _, err := parseHeader(data)
-	if err != nil {
+	r := codec.NewReader(data, ErrBadSnapshot)
+	_, kind, _ := readHeader(&r)
+	if err := r.Err(); err != nil {
 		return SnapshotInfo{}, err
 	}
 	return SnapshotInfo{Kind: kind}, nil
@@ -245,37 +226,45 @@ func discoveryOptions(cfg config, strat strategy.Strategy) discovery.Options {
 	}
 }
 
-// envelopeWriter builds the snapshot header + configuration section.
-type envelopeWriter struct {
-	buf []byte
+// envelope wraps a state payload of the given kind over c. Kinds other
+// than tree sessions carry their configuration cfg, and a group-testing
+// configuration needs the version-3 envelope: restoring one requires the
+// group section to mint the right strategy.
+func envelope(kind SnapshotKind, c *Collection, cfg *config, state []byte) []byte {
+	version := byte(snapshotVersion)
+	if cfg != nil && cfg.groupStrategy != "" {
+		version = snapshotVersionGroup
+	}
+	w := codec.Writer{Buf: make([]byte, 0, 64+len(state))}
+	w.Buf = append(w.Buf, snapshotMagic...)
+	w.U8(version)
+	w.U8(byte(kind))
+	fp := c.c.ContentFingerprint()
+	w.BE64(fp.Hi)
+	w.BE64(fp.Lo)
+	if cfg != nil {
+		writeConfig(&w, cfg)
+	}
+	return append(w.Buf, state...)
 }
 
-func newEnvelope(kind SnapshotKind, fp dataset.Fingerprint) *envelopeWriter {
-	return newEnvelopeVersion(snapshotVersion, kind, fp)
-}
-
-func newEnvelopeVersion(version byte, kind SnapshotKind, fp dataset.Fingerprint) *envelopeWriter {
-	w := &envelopeWriter{buf: make([]byte, 0, 64)}
-	w.buf = append(w.buf, snapshotMagic...)
-	w.buf = append(w.buf, version, byte(kind))
-	w.buf = binary.BigEndian.AppendUint64(w.buf, fp.Hi)
-	w.buf = binary.BigEndian.AppendUint64(w.buf, fp.Lo)
-	return w
-}
-
-// config appends the behaviour-relevant configuration: everything that
+// writeConfig appends the behaviour-relevant configuration: everything that
 // decides which questions get asked or when the session halts. Host-local
-// tuning (cache bound, build parallelism) is deliberately absent.
-func (w *envelopeWriter) config(cfg config) {
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(cfg.strategyName)))
-	w.buf = append(w.buf, cfg.strategyName...)
+// tuning (cache bound, build parallelism) is deliberately absent. A group
+// configuration is followed by the version-3 group section: the group
+// strategy's name and the constraint entity-name pairs it was configured
+// with. Constraint names (not IDs) travel so the section stays meaningful to
+// a human and the restoring side re-resolves them against its own
+// dictionary.
+func writeConfig(w *codec.Writer, cfg *config) {
+	w.String(cfg.strategyName)
 	var metric byte
 	if cfg.metric == Height {
 		metric = 1
 	}
-	w.buf = append(w.buf, metric)
+	w.U8(metric)
 	for _, v := range []int{cfg.k, cfg.q, cfg.maxQuestions, cfg.batchSize} {
-		w.buf = binary.AppendUvarint(w.buf, uint64(v))
+		w.Uvarint(uint64(v))
 	}
 	var flags byte
 	if cfg.backtrack {
@@ -284,22 +273,15 @@ func (w *envelopeWriter) config(cfg config) {
 	if cfg.confirm {
 		flags |= 2
 	}
-	w.buf = append(w.buf, flags)
-}
-
-// groupConfig appends the version-3 group section: the group strategy's name
-// and the constraint entity-name pairs it was configured with. Constraint
-// names (not IDs) travel so the section stays meaningful to a human and the
-// restoring side re-resolves them against its own dictionary.
-func (w *envelopeWriter) groupConfig(cfg config) {
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(cfg.groupStrategy)))
-	w.buf = append(w.buf, cfg.groupStrategy...)
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(cfg.groupConstraints)))
+	w.U8(flags)
+	if cfg.groupStrategy == "" {
+		return
+	}
+	w.String(cfg.groupStrategy)
+	w.Uvarint(uint64(len(cfg.groupConstraints)))
 	for _, pair := range cfg.groupConstraints {
-		for _, name := range pair {
-			w.buf = binary.AppendUvarint(w.buf, uint64(len(name)))
-			w.buf = append(w.buf, name...)
-		}
+		w.String(pair[0])
+		w.String(pair[1])
 	}
 }
 
@@ -307,29 +289,19 @@ func badSnapshot(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
 }
 
-// parseHeader validates magic/version and returns the version, kind,
-// fingerprint and the bytes after the fixed header.
-func parseHeader(data []byte) (byte, SnapshotKind, dataset.Fingerprint, []byte, error) {
-	const headerLen = len(snapshotMagic) + 2 + 16
-	if len(data) < headerLen {
-		return 0, 0, dataset.Fingerprint{}, nil, badSnapshot("truncated header")
-	}
-	if string(data[:4]) != snapshotMagic {
-		return 0, 0, dataset.Fingerprint{}, nil, badSnapshot("bad magic %q", data[:4])
-	}
-	version := data[4]
+// readHeader reads and validates the fixed header: magic, version, kind and
+// collection fingerprint.
+func readHeader(r *codec.Reader) (byte, SnapshotKind, dataset.Fingerprint) {
+	r.Magic(snapshotMagic)
+	version, kind := r.U8(), SnapshotKind(r.U8())
+	fp := dataset.Fingerprint{Hi: r.BE64(), Lo: r.BE64()}
 	if version != snapshotVersion && version != snapshotVersionDelta && version != snapshotVersionGroup {
-		return 0, 0, dataset.Fingerprint{}, nil, badSnapshot("unknown snapshot version %d", version)
+		r.Fail("unknown snapshot version %d", version)
 	}
-	kind := SnapshotKind(data[5])
 	if kind != SnapshotSession && kind != SnapshotTreeSession && kind != SnapshotBatch {
-		return 0, 0, dataset.Fingerprint{}, nil, badSnapshot("unknown snapshot kind %d", data[5])
+		r.Fail("unknown snapshot kind %d", byte(kind))
 	}
-	fp := dataset.Fingerprint{
-		Hi: binary.BigEndian.Uint64(data[6:14]),
-		Lo: binary.BigEndian.Uint64(data[14:22]),
-	}
-	return version, kind, fp, data[headerLen:], nil
+	return version, kind, fp
 }
 
 // openEnvelope parses and validates the header against this collection and
@@ -339,8 +311,9 @@ func parseHeader(data []byte) (byte, SnapshotKind, dataset.Fingerprint, []byte, 
 // delta is skipped.
 func (c *Collection) openEnvelope(data []byte, want SnapshotKind, opts []Option) (config, []byte, error) {
 	cfg := defaultConfig()
-	version, kind, fp, rest, err := parseHeader(data)
-	if err != nil {
+	r := codec.NewReader(data, ErrBadSnapshot)
+	version, kind, fp := readHeader(&r)
+	if err := r.Err(); err != nil {
 		return cfg, nil, err
 	}
 	if kind != want {
@@ -359,124 +332,74 @@ func (c *Collection) openEnvelope(data []byte, want SnapshotKind, opts []Option)
 		return cfg, nil, badSnapshot("snapshot was exported from a different collection")
 	}
 	if kind != SnapshotTreeSession {
-		if rest, err = readConfig(&cfg, rest); err != nil {
-			return cfg, nil, err
-		}
-		if version == snapshotVersionGroup {
-			if rest, err = readGroupConfig(&cfg, rest); err != nil {
-				return cfg, nil, err
-			}
-		}
+		readConfig(&r, &cfg, version == snapshotVersionGroup)
 	} else if version == snapshotVersionGroup {
 		return cfg, nil, badSnapshot("tree sessions have no group mode")
 	}
 	for _, o := range opts {
 		o(&cfg)
 	}
+	var payload []byte
 	if version == snapshotVersionDelta {
-		stateLen, n := binary.Uvarint(rest)
-		if n <= 0 || stateLen > uint64(len(rest)-n) {
-			return cfg, nil, badSnapshot("truncated state length")
-		}
-		rest = rest[n : n+int(stateLen)]
+		payload = r.Bytes()
+	} else {
+		payload = r.Rest()
 	}
-	return cfg, rest, nil
+	return cfg, payload, r.Err()
 }
 
-// readConfig decodes the configuration section into cfg, returning the
-// remaining payload.
-func readConfig(cfg *config, data []byte) ([]byte, error) {
-	nameLen, n := binary.Uvarint(data)
-	if n <= 0 || nameLen > uint64(len(data)-n) {
-		return nil, badSnapshot("truncated configuration")
-	}
-	data = data[n:]
-	cfg.strategyName = string(data[:nameLen])
-	data = data[nameLen:]
-	if len(data) == 0 {
-		return nil, badSnapshot("truncated configuration")
-	}
-	switch data[0] {
+// readConfig decodes the configuration section (and, with group, the
+// version-3 group section) into cfg.
+func readConfig(r *codec.Reader, cfg *config, group bool) {
+	cfg.strategyName = r.String()
+	switch metric := r.U8(); metric {
 	case 0:
 		cfg.metric = AverageDepth
 	case 1:
 		cfg.metric = Height
 	default:
-		return nil, badSnapshot("unknown metric %d", data[0])
+		r.Fail("unknown metric %d", metric)
 	}
-	data = data[1:]
 	// Snapshot input is untrusted: parameters feed straight into strategy
 	// construction (which rejects k < 1 by panicking — a programmer error on
 	// the normal path) and into lookahead whose cost grows with k, so both
 	// floor and ceiling are enforced here.
 	for _, f := range []struct {
 		dst      *int
-		min, max int
+		min, max uint64
 	}{
 		{&cfg.k, 1, 64},
 		{&cfg.q, 1, 1 << 20},
 		{&cfg.maxQuestions, 0, 1 << 20},
 		{&cfg.batchSize, 0, 1 << 20},
 	} {
-		v, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, badSnapshot("truncated configuration")
-		}
-		if v < uint64(f.min) || v > uint64(f.max) {
-			return nil, badSnapshot("configuration value %d out of range [%d, %d]", v, f.min, f.max)
+		v := r.Uint(f.max)
+		if v < f.min {
+			r.Fail("configuration value %d below %d", v, f.min)
 		}
 		*f.dst = int(v)
-		data = data[n:]
 	}
-	if len(data) == 0 {
-		return nil, badSnapshot("truncated configuration")
+	flags := r.U8()
+	if flags > 3 {
+		r.Fail("unknown configuration flags %#x", flags)
 	}
-	if data[0] > 3 {
-		return nil, badSnapshot("unknown configuration flags %#x", data[0])
+	cfg.backtrack = flags&1 != 0
+	cfg.confirm = flags&2 != 0
+	if !group {
+		return
 	}
-	cfg.backtrack = data[0]&1 != 0
-	cfg.confirm = data[0]&2 != 0
-	return data[1:], nil
-}
-
-// readGroupConfig decodes the version-3 group section. Strategy and entity
-// names are re-validated downstream (the group factory rejects unknown
-// strategies and constraint entities absent from the collection); here only
-// the framing and untrusted-input bounds are checked.
-func readGroupConfig(cfg *config, data []byte) ([]byte, error) {
-	readString := func(what string, max uint64) (string, error) {
-		n, sz := binary.Uvarint(data)
-		if sz <= 0 || n > max || n > uint64(len(data)-sz) {
-			return "", badSnapshot("truncated group %s", what)
+	// Strategy and entity names are re-validated downstream (the group
+	// factory rejects unknown strategies and constraint entities absent
+	// from the collection); here only the framing and untrusted-input
+	// bounds are checked.
+	if cfg.groupStrategy = r.String(); cfg.groupStrategy == "" || len(cfg.groupStrategy) > 64 {
+		r.Fail("bad group strategy %q in a group envelope", cfg.groupStrategy)
+	}
+	cfg.groupConstraints = codec.List(r, 2, 1<<16, func() [2]string {
+		pair := [2]string{r.String(), r.String()}
+		if len(pair[0]) > 1<<10 || len(pair[1]) > 1<<10 {
+			r.Fail("group constraint name longer than %d bytes", 1<<10)
 		}
-		s := string(data[sz : sz+int(n)])
-		data = data[sz+int(n):]
-		return s, nil
-	}
-	name, err := readString("strategy", 64)
-	if err != nil {
-		return nil, err
-	}
-	if name == "" {
-		return nil, badSnapshot("empty group strategy in a group envelope")
-	}
-	cfg.groupStrategy = name
-	count, sz := binary.Uvarint(data)
-	if sz <= 0 || count > 1<<16 {
-		return nil, badSnapshot("truncated group constraints")
-	}
-	data = data[sz:]
-	cfg.groupConstraints = nil
-	for i := uint64(0); i < count; i++ {
-		ifName, err := readString("constraint", 1<<10)
-		if err != nil {
-			return nil, err
-		}
-		thenName, err := readString("constraint", 1<<10)
-		if err != nil {
-			return nil, err
-		}
-		cfg.groupConstraints = append(cfg.groupConstraints, [2]string{ifName, thenName})
-	}
-	return data, nil
+		return pair
+	})
 }

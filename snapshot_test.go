@@ -3,7 +3,10 @@ package setdiscovery
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"setdiscovery/internal/codec"
 )
 
 // lieOnOracle answers truthfully for its target except for one entity, where
@@ -393,4 +396,43 @@ func TestSnapshotRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, "done-session", gotRes, wantRes)
+}
+
+// TestRestoreHostileGroupConstraints: a version-3 envelope whose group
+// constraint count exceeds the 1<<16 cap is rejected before any pair is
+// decoded, even when the input really holds that many (empty) pairs. A
+// decoder that checks the cap after the list would allocate 32 bytes of
+// pair per 2 bytes of input first.
+func TestRestoreHostileGroupConstraints(t *testing.T) {
+	c, err := NewCollection(paperSets())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.NewSession(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pairs = 1 << 19
+	w := codec.Writer{Buf: append([]byte(nil), snap[:len(snapshotMagic)+2+16]...)}
+	w.Buf[len(snapshotMagic)] = snapshotVersionGroup
+	cfg := defaultConfig()
+	writeConfig(&w, &cfg)
+	w.String("halving")
+	w.Uvarint(pairs)
+	w.Buf = append(w.Buf, make([]byte, 2*pairs)...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = c.RestoreSession(w.Buf)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("got %v, want ErrBadSnapshot", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(len(w.Buf)) {
+		t.Fatalf("rejecting a %d-byte snapshot allocated %d bytes", len(w.Buf), alloc)
+	}
 }
