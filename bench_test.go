@@ -237,6 +237,84 @@ func BenchmarkSelectSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkSeededSession runs seeded solo sessions through the public API
+// over the §5.2.2 copy-add collection (n=2000, d=50–60, α=0.9) with the
+// default k-LP (k=2). Each session starts from one element of its target,
+// so its candidate sets rarely repeat across sessions and selection misses
+// the shared lookahead cache and dominates the cost: the selection-bound
+// serving workload. Besides wall-clock and allocations per session it
+// reports the heap a finished session keeps alive for as long as a session
+// store still holds it.
+func BenchmarkSeededSession(b *testing.B) {
+	dc, err := synth.Generate(synth.Params{N: 2000, SizeMin: 50, SizeMax: 60, Alpha: 0.9, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sets := make(map[string][]string, dc.Len())
+	for _, set := range dc.Sets() {
+		for _, e := range set.Elems {
+			sets[set.Name] = append(sets[set.Name], dc.EntityName(e))
+		}
+	}
+	c, err := NewCollection(sets)
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := c.Names()
+	r := rng.New(41)
+	run := func() *Session {
+		target := names[r.Intn(len(names))]
+		elems := c.Elements(target)
+		oracle, err := c.TargetOracle(target)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := c.NewSession([]string{elems[r.Intn(len(elems))]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for q, done := s.Next(); !done; q, done = s.Next() {
+			if err := s.Answer(oracle.Answer(q.Entity)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if res, err := s.Result(); err != nil || res.Target != target {
+			b.Fatalf("discovery missed %s: %v", target, err)
+		}
+		return s
+	}
+	for i := 0; i < 64; i++ { // warm the shared factory before timing
+		run()
+	}
+	// The last `kept` sessions stay referenced, like finished sessions a
+	// store holds until they expire.
+	const kept = 256
+	live := make([]*Session, kept)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		live[i%kept] = run()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/session")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/session")
+	// Two collections each side: the second frees what sync.Pools dropped
+	// in the first, so pooled memory counts on neither side.
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	held := min(b.N, kept)
+	clear(live)
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	b.ReportMetric(float64(int64(before.HeapAlloc)-int64(after.HeapAlloc))/float64(held), "B/live-session")
+}
+
 // BenchmarkSessionSteadyState measures a whole discovery session per
 // iteration over a shared factory — the serving-layer steady state where
 // scratch arenas, the session subset recycling and the warm lookahead

@@ -17,7 +17,7 @@
 // so pruning decisions never depend on floating-point rounding, and the
 // correctness proof of Lemma 4.4 carries over verbatim. ⌈n·log2 n⌉ itself is
 // computed exactly (float fast path, math/big verification when the float
-// value is suspiciously close to an integer).
+// value is suspiciously close to an integer), and tabulated once for small n.
 package cost
 
 import (
@@ -66,14 +66,38 @@ func CeilLog2(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// CeilNLog2 returns ⌈n·log2 n⌉ exactly for n ≥ 0.
+// nlog2TableSize bounds the sub-collection sizes whose ⌈n·log2 n⌉ is read
+// from a table. Every LB1 of a node with fewer member sets is two lookups;
+// the serving workloads' lookahead nodes all fall below it.
+const nlog2TableSize = 4096
+
+// nlog2Table holds ⌈n·log2 n⌉ for n < nlog2TableSize, computed once by the
+// exact path.
+var nlog2Table = func() *[nlog2TableSize]int64 {
+	var t [nlog2TableSize]int64
+	for n := range t {
+		t[n] = ceilNLog2Exact(n)
+	}
+	return &t
+}()
+
+// CeilNLog2 returns ⌈n·log2 n⌉ exactly for n ≥ 0 (0 for n ≤ 1): a table
+// lookup below nlog2TableSize, the exact computation beyond it.
+func CeilNLog2(n int) int64 {
+	if uint(n) < nlog2TableSize {
+		return nlog2Table[n]
+	}
+	return ceilNLog2Exact(n)
+}
+
+// ceilNLog2Exact computes ⌈n·log2 n⌉.
 //
 // Fast path: n·log2 n in float64 has absolute error ≪ 1e-6 for any feasible
 // n, so whenever the float value is farther than 1e-6 from an integer its
 // ceiling is provably correct. Near-integer cases are decided exactly:
 // n a power of two gives the integer n·log2 n directly; otherwise
 // ⌈n·log2 n⌉ = ⌈log2 n^n⌉ = BitLen(n^n), since n^n is not a power of two.
-func CeilNLog2(n int) int64 {
+func ceilNLog2Exact(n int) int64 {
 	if n <= 1 {
 		return 0
 	}

@@ -263,3 +263,13 @@ func TestInfHeadroom(t *testing.T) {
 		t.Errorf("UL near Inf out of safe range: %d", v)
 	}
 }
+
+// TestCeilNLog2TableMatchesBig checks every tabulated value, and the first
+// sizes past the table, against the math/big definition.
+func TestCeilNLog2TableMatchesBig(t *testing.T) {
+	for n := 0; n < nlog2TableSize+8; n++ {
+		if got, want := CeilNLog2(n), exactCeilNLog2(n); got != want {
+			t.Fatalf("CeilNLog2(%d) = %d, want %d", n, got, want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"math/bits"
 	"slices"
 
 	"setdiscovery/internal/bitset"
@@ -34,11 +35,12 @@ import (
 type Scratch struct {
 	pool *bitset.Pool
 
-	// Dense counting state (universes up to denseThreshold): counts is
-	// sized to the collection's universe on first use and zeroed over the
-	// touched range [lo, hi] after every count, so reuse costs a ranged
-	// memclr instead of a fresh universe-sized allocation.
-	counts []int32
+	// Dense counting state (universes up to denseThreshold): counts and
+	// the touched bitmap are sized to the collection's universe on first
+	// use, and every count zeroes exactly the entries it touched, so reuse
+	// costs neither a fresh universe-sized allocation nor a range memclr.
+	counts  []int32
+	touched []uint64
 
 	// Sparse counting state (universes beyond denseThreshold): a reusable
 	// map, emptied with clear() after every count.
@@ -97,14 +99,19 @@ func (s *Subset) InformativeEntitiesInto(sc *Scratch) []EntityCount {
 	return s.informativeSparseInto(sc)
 }
 
-// informativeDenseInto mirrors informativeDense over sc.counts. The touched
-// range is zeroed after collection, so the array is clean for the next call
-// without a universe-sized memclr.
+// informativeDenseInto mirrors informativeDense over sc.counts. Counting
+// also marks each entity it touches in sc.touched, one bit per entity, and
+// collection walks only the marked bits: the cost is the elements counted
+// plus one word per 64 entities of the touched ID range, instead of one
+// count per entity of that range. Walking the words in order keeps the
+// ascending-ID contract without a sort, and zeroing each count as it is
+// collected leaves the arrays clean for the next call.
 func (s *Subset) informativeDenseInto(sc *Scratch) []EntityCount {
 	if len(sc.counts) < s.c.numEntities {
 		sc.counts = make([]int32, s.c.numEntities)
+		sc.touched = make([]uint64, (s.c.numEntities+63)/64)
 	}
-	counts := sc.counts
+	counts, touched := sc.counts, sc.touched
 	lo, hi := s.c.numEntities, -1
 	s.members.ForEach(func(i int) bool {
 		elems := s.c.sets[i].Elems
@@ -118,18 +125,23 @@ func (s *Subset) informativeDenseInto(sc *Scratch) []EntityCount {
 		}
 		for _, e := range elems {
 			counts[e]++
+			touched[e>>6] |= 1 << (e & 63)
 		}
 		return true
 	})
 	out := sc.ecBuf[:0]
 	size := int32(s.size)
-	for e := lo; e <= hi; e++ {
-		if n := counts[e]; n > 0 && n < size {
-			out = append(out, EntityCount{Entity(e), int(n)})
+	for w := lo >> 6; w <= hi>>6; w++ {
+		word := touched[w]
+		touched[w] = 0
+		for word != 0 {
+			e := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if n := counts[e]; n < size {
+				out = append(out, EntityCount{Entity(e), int(n)})
+			}
+			counts[e] = 0
 		}
-	}
-	if hi >= lo {
-		clear(counts[lo : hi+1])
 	}
 	sc.ecBuf = out
 	return out

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"setdiscovery/internal/bitset"
+	"setdiscovery/internal/rng"
 )
 
 // scratchTestCollection builds a small collection with overlapping sets so
@@ -70,6 +71,45 @@ func TestInformativeEntitiesIntoMatches(t *testing.T) {
 				t.Errorf("%s path, sub %d: second Into = %v, want %v (dirty scratch)", name, i, again, want)
 			}
 		}
+	}
+}
+
+// TestInformativeEntitiesIntoEverySize compares the scratch count with the
+// allocating one on one warm scratch over sub-collections of every size from
+// 2 to the whole collection, each followed by a small random one, so counts
+// that touch a few entities of a wide ID range and counts that touch most of
+// it alternate over the same reused arrays.
+func TestInformativeEntitiesIntoEverySize(t *testing.T) {
+	r := rng.New(5)
+	const universe = 6000
+	elems := make([][]Entity, 240)
+	names := make([]string, len(elems))
+	for i := range elems {
+		names[i] = string(rune('A'+i%26)) + string(rune('a'+i/26))
+		center := r.Intn(universe - 200)
+		for j := r.IntRange(20, 40); j > 0; j-- {
+			elems[i] = append(elems[i], Entity(center+r.Intn(200)))
+		}
+		elems[i] = append(elems[i], Entity(r.Intn(universe)))
+	}
+	c, err := FromIDSets(names, elems, universe, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := make([]uint32, c.Len())
+	for i, p := range r.Perm(c.Len()) {
+		order[i] = uint32(p)
+	}
+	sc := NewScratch()
+	check := func(sub *Subset) {
+		t.Helper()
+		if got, want := sub.InformativeEntitiesInto(sc), sub.InformativeEntities(); !sameEntityCounts(got, want) {
+			t.Fatalf("%d-set sub-collection: Into = %v, want %v", sub.Size(), got, want)
+		}
+	}
+	for size := 2; size <= c.Len(); size++ {
+		check(c.SubsetOf(order[:size]))
+		check(c.SubsetOf(r.SampleUint32(order, r.IntRange(2, 5))))
 	}
 }
 

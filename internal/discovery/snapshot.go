@@ -124,8 +124,31 @@ func readEntity(r *codec.Reader) dataset.Entity {
 	return dataset.Entity(r.Uint(math.MaxUint32))
 }
 
-func readEntities(r *codec.Reader) []dataset.Entity {
-	return codec.List(r, 1, math.MaxInt32, func() dataset.Entity { return readEntity(r) })
+// readEntities reads an entity list: the in-flight batch, the excluded set
+// or a question's subset. Each names distinct entities of c, so none is
+// longer than c's entity universe.
+func readEntities(r *codec.Reader, c *dataset.Collection) []dataset.Entity {
+	return codec.List(r, 1, c.NumEntities(), func() dataset.Entity { return readEntity(r) })
+}
+
+// questionLogBounds caps the trail and the asked log of a state decoded
+// over c under opts. Along one path of answers an entity session asks each
+// entity at most once (an answered entity is uninformative for the narrowed
+// candidates, an unknown one is excluded), and a group session's answers
+// each narrow the candidates or exclude a new entity, so a path holds at
+// most NumEntities+Len questions. The trail is one path; the asked log also
+// keeps the questions of the paths that backtracking abandoned, at most
+// MaxBacktracks of them.
+func questionLogBounds(c *dataset.Collection, opts Options) (trail, asked int) {
+	perPath := min(c.NumEntities()+c.Len(), math.MaxInt32)
+	paths := 1
+	if opts.Backtrack {
+		paths += min(opts.MaxBacktracks, math.MaxInt32)
+	}
+	if perPath > 0 && paths > math.MaxInt32/perPath {
+		return perPath, math.MaxInt32
+	}
+	return perPath, perPath * paths
 }
 
 // readSubset reads a member-index list and rebinds it to c, rejecting
@@ -155,7 +178,7 @@ func readFingerprint(r *codec.Reader) dataset.Fingerprint {
 }
 
 // readQuestion reads one asked-question key (see writeQuestion).
-func readQuestion(r *codec.Reader, group bool) (dataset.Entity, []dataset.Entity, grouptest.Semantics) {
+func readQuestion(r *codec.Reader, c *dataset.Collection, group bool) (dataset.Entity, []dataset.Entity, grouptest.Semantics) {
 	if !group {
 		return readEntity(r), nil, 0
 	}
@@ -164,7 +187,7 @@ func readQuestion(r *codec.Reader, group bool) (dataset.Entity, []dataset.Entity
 		return readEntity(r), nil, 0
 	case 1:
 		sem := grouptest.Semantics(readByte(r, byte(grouptest.SubsetOfTarget), "subset semantics"))
-		members := readEntities(r)
+		members := readEntities(r, c)
 		if len(members) == 0 {
 			r.Fail("empty question subset")
 		}
@@ -346,15 +369,15 @@ func decodeSessionInto(c *dataset.Collection, opts Options, sched *scheduler, r 
 			r.Fail("pending subset outside the asking state")
 		}
 		pendingSem = grouptest.Semantics(readByte(r, byte(grouptest.SubsetOfTarget), "subset semantics"))
-		if pendingSub = readEntities(r); len(pendingSub) == 0 {
+		if pendingSub = readEntities(r, c); len(pendingSub) == 0 {
 			r.Fail("empty pending subset")
 		}
 	} else if group && stateByte == byte(stateAsk) {
 		r.Fail("group session asking without a pending subset")
 	}
 	confirmIdx := r.Uint(uint64(c.Len()))
-	batch := readEntities(r)
-	excludedList := readEntities(r)
+	batch := readEntities(r, c)
+	excludedList := readEntities(r, c)
 	var cs *dataset.Subset
 	if flags&4 != 0 {
 		cs = readSubset(r, c)
@@ -362,9 +385,10 @@ func decodeSessionInto(c *dataset.Collection, opts Options, sched *scheduler, r 
 			r.Fail("candidate-set fingerprint mismatch (state from a different collection?)")
 		}
 	}
-	trail := codec.List(r, 4, math.MaxInt32, func() trailEntry { // subset, question, answer, flipped
+	maxTrail, maxAsked := questionLogBounds(c, opts)
+	trail := codec.List(r, 4, maxTrail, func() trailEntry { // subset, question, answer, flipped
 		te := trailEntry{before: readSubset(r, c)}
-		te.entity, te.subset, te.sem = readQuestion(r, group)
+		te.entity, te.subset, te.sem = readQuestion(r, c, group)
 		te.answer = Answer(readByte(r, 2, "answer"))
 		te.flipped = r.Bool()
 		return te
@@ -374,9 +398,9 @@ func decodeSessionInto(c *dataset.Collection, opts Options, sched *scheduler, r 
 		*dst = int(r.Uint(math.MaxInt32))
 	}
 	res.SelectionTime = time.Duration(r.Uint(math.MaxInt64))
-	res.Asked = codec.List(r, 2, math.MaxInt32, func() Question { // question, answer
+	res.Asked = codec.List(r, 2, maxAsked, func() Question { // question, answer
 		var q Question
-		q.Entity, q.Subset, q.Semantics = readQuestion(r, group)
+		q.Entity, q.Subset, q.Semantics = readQuestion(r, c, group)
 		q.Answer = Answer(readByte(r, 2, "answer"))
 		return q
 	})

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -414,5 +415,59 @@ func TestSubsetRejectsWrappingGap(t *testing.T) {
 	r := codec.NewReader(w.Buf, errCorruptState)
 	if s := readSubset(&r, c); !errors.Is(r.Err(), errCorruptState) {
 		t.Fatalf("decoded members %v, err %v; want a corrupt-state error", s.Members(), r.Err())
+	}
+}
+
+// TestDecodeHostileQuestionLogs: a state whose trail or asked log claims far
+// more entries than the collection allows is rejected before the entries
+// are decoded, even when the input really holds that many minimal valid
+// entries. A decoder bounded only by the remaining input would allocate a
+// Subset per 4-byte trail entry and a Question per 2-byte asked entry
+// first, over 20 times the input.
+func TestDecodeHostileQuestionLogs(t *testing.T) {
+	c := testutil.PaperCollection()
+	f := strategy.NewKLP(cost.AD, 2)
+	s, err := NewSession(c, nil, Options{Strategy: f.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := s.EncodeState()
+	// A fresh session's state ends with an empty trail, the result counters
+	// and an empty asked log.
+	var tail codec.Writer
+	for _, v := range []int{s.res.Questions, s.res.Interactions, s.res.Unknowns, s.res.Backtracks} {
+		tail.Uvarint(uint64(v))
+	}
+	tail.Uvarint(uint64(s.res.SelectionTime))
+	tail.Uvarint(0)
+	head := state[:len(state)-len(tail.Buf)-1]
+	if state[len(head)] != 0 || string(state[len(head)+1:]) != string(tail.Buf) {
+		t.Fatal("unexpected state layout")
+	}
+	const entries = 1 << 18
+	forge := func(trailEntries, askedEntries int) []byte {
+		w := codec.Writer{Buf: append([]byte(nil), head...)}
+		w.Uvarint(uint64(trailEntries))
+		w.Buf = append(w.Buf, make([]byte, 4*trailEntries)...) // empty subset, entity 0, Yes, unflipped
+		w.Buf = append(w.Buf, tail.Buf[:len(tail.Buf)-1]...)
+		w.Uvarint(uint64(askedEntries))
+		w.Buf = append(w.Buf, make([]byte, 2*askedEntries)...) // entity 0, Yes
+		return w.Buf
+	}
+	for _, tc := range []struct {
+		name         string
+		trail, asked int
+	}{{"trail", entries, 0}, {"asked", 0, entries}} {
+		data := forge(tc.trail, tc.asked)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeSession(c, Options{Strategy: f.New()}, data)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, errCorruptState) {
+			t.Fatalf("%s: got %v, want a corrupt-state error", tc.name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(len(data)) {
+			t.Fatalf("%s: rejecting a %d-byte state allocated %d bytes", tc.name, len(data), alloc)
+		}
 	}
 }

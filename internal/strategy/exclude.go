@@ -1,9 +1,6 @@
 package strategy
 
-import (
-	"setdiscovery/internal/cost"
-	"setdiscovery/internal/dataset"
-)
+import "setdiscovery/internal/dataset"
 
 // Excluder is implemented by strategies that can avoid proposing specific
 // entities. Interactive discovery uses it for §6's "don't know" answers:
@@ -88,7 +85,7 @@ func (s *KLP) SelectExcluding(sub *dataset.Subset, excluded map[dataset.Entity]b
 	}
 	s.excluded = excluded
 	defer func() { s.excluded = nil }()
-	e, _, found := s.search(sub, s.k, cost.Inf, 0)
+	e, _, found := s.root(sub)
 	return e, found
 }
 

@@ -23,20 +23,19 @@ import (
 // the paper's pruning removes. A memoised variant exists as an ablation to
 // show the speedup is not mere caching.
 type GainK struct {
-	k         int
-	memo      bool
-	noScratch bool
-	cache     *cache.Cache[float64] // nil unless memo; shared across siblings
+	k     int
+	memo  bool
+	cache *cache.Cache[float64] // nil unless memo; shared across siblings
 	// Evaluations counts entity evaluations across all recursion levels —
 	// a machine-independent work measure used alongside wall time. It is
 	// per-instance: siblings minted by New count their own work.
 	Evaluations int64
 	excluded    map[dataset.Entity]bool // active only during SelectExcluding
 
-	// scratch is live on siblings minted by New (see KLP.New): count
-	// arrays, candidate buffers and partition bitsets are reused across
-	// the whole lookahead, allocation-free in steady state.
-	scratch workerScratch
+	// scratch is borrowed per Select by siblings minted by New (see
+	// KLP.New): count arrays, candidate buffers and partition bitsets are
+	// reused across the whole lookahead, allocation-free in steady state.
+	scratch lentScratch
 }
 
 // NewGainK returns an unmemoised gain-k strategy. k must be ≥ 1.
@@ -44,7 +43,7 @@ func NewGainK(k int) *GainK {
 	if k < 1 {
 		panic("strategy: gain-k requires k >= 1")
 	}
-	return &GainK{k: k}
+	return &GainK{k: k, scratch: newLentScratch()}
 }
 
 // NewGainKMemo returns a memoised gain-k (ablation).
@@ -56,31 +55,25 @@ func NewGainKMemo(k int) *GainK {
 }
 
 // New implements Factory: the sibling shares the entropy memo cache (when
-// memoised) but counts its own evaluations and owns a private scratch
-// arena. Cached entropies are exact, so sharing cannot change selections.
+// memoised) but counts its own evaluations and borrows a scratch arena from
+// the factory per Select. Cached entropies are exact, so sharing cannot
+// change selections.
 func (g *GainK) New() Strategy { return g.NewWithScratch(nil) }
 
 // NewWithScratch implements ScratchFactory: like New, with the sibling's
-// working memory drawn from the caller's arena (nil sc = a private one).
+// working memory the caller's arena for life (nil sc = borrowed per call).
 func (g *GainK) NewWithScratch(sc *dataset.Scratch) Strategy {
 	sibling := *g
 	sibling.Evaluations = 0
 	sibling.excluded = nil
-	sibling.scratch = workerScratch{}
-	if !g.noScratch {
-		if sc == nil {
-			sc = dataset.NewScratch()
-		}
-		sibling.scratch = workerScratch{sc: sc}
-	}
+	sibling.scratch = g.scratch.mint(sc)
 	return &sibling
 }
 
 // DisableScratch turns off scratch/pool reuse on minted siblings
 // (ablation and reference path; selections are identical either way).
 func (g *GainK) DisableScratch() *GainK {
-	g.noScratch = true
-	g.scratch = workerScratch{}
+	g.scratch = disabledScratch()
 	return g
 }
 
@@ -106,7 +99,8 @@ func (g *GainK) Select(sub *dataset.Subset) (dataset.Entity, bool) {
 	if sub.Size() <= 1 {
 		return 0, false
 	}
-	cands := g.scratch.candidatesAt(0, sub, 0)
+	cands := g.scratch.hold().candidatesAt(0, sub, 0)
+	defer g.scratch.giveBack()
 	if len(cands) == 0 {
 		return 0, false
 	}
@@ -119,7 +113,7 @@ func (g *GainK) Select(sub *dataset.Subset) (dataset.Entity, bool) {
 			continue
 		}
 		g.Evaluations++
-		with, without := g.scratch.partition(sub, cand.entity)
+		with, without := g.scratch.w.partition(sub, cand.entity)
 		v := (float64(with.Size())*g.entropy(with, g.k-1) +
 			float64(without.Size())*g.entropy(without, g.k-1)) / n
 		with.Release()
@@ -150,7 +144,7 @@ func (g *GainK) entropy(sub *dataset.Subset, j int) float64 {
 	}
 	// Depth-indexed candidate buffer: the top-level Select owns depth 0,
 	// the ent_j recursion level owns depth k−j.
-	cands := g.scratch.candidatesAt(g.k-j, sub, 0)
+	cands := g.scratch.w.candidatesAt(g.k-j, sub, 0)
 	best := math.Inf(1)
 	if j == 1 {
 		// ent_1 needs only the split sizes, which the candidate counts
@@ -166,7 +160,7 @@ func (g *GainK) entropy(sub *dataset.Subset, j int) float64 {
 	} else {
 		for _, cand := range cands {
 			g.Evaluations++
-			with, without := g.scratch.partition(sub, cand.entity)
+			with, without := g.scratch.w.partition(sub, cand.entity)
 			v := (float64(with.Size())*g.entropy(with, j-1) +
 				float64(without.Size())*g.entropy(without, j-1)) / float64(n)
 			with.Release()

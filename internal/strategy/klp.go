@@ -34,17 +34,17 @@ type KLP struct {
 
 	noSortPrune bool // ablation: disable the sorted early-stop (lines 14–15)
 	noULPrune   bool // ablation: disable recursive upper limits (lines 22, 29)
-	noScratch   bool // ablation: disable scratch/pool reuse on minted siblings
 
 	cache    *cache.Cache[cacheEntry]
 	recorder *Recorder
 	excluded map[dataset.Entity]bool // active only during SelectExcluding
 
-	// scratch is the per-instance reusable working memory (count arrays,
-	// candidate buffers, bitset pool) making steady-state Select
-	// allocation-free. It is live on siblings minted by New; a KLP value
-	// used directly as a Strategy runs the allocating fallback paths.
-	scratch workerScratch
+	// scratch is the reusable working memory (count arrays, candidate
+	// buffers, bitset pool) making steady-state Select allocation-free. A
+	// sibling minted by New borrows it from the factory for one call at a
+	// time; a KLP value used directly as a Strategy runs the allocating
+	// fallback paths.
+	scratch lentScratch
 }
 
 type cacheEntry struct {
@@ -59,33 +59,28 @@ func NewKLP(m cost.Metric, k int) *KLP {
 	if k < 1 {
 		panic("strategy: k-LP requires k >= 1")
 	}
-	return &KLP{metric: m, k: k, cache: cache.New[cacheEntry]()}
+	return &KLP{metric: m, k: k, cache: cache.New[cacheEntry](), scratch: newLentScratch()}
 }
 
 // New implements Factory: it returns a sibling strategy for the exclusive
 // use of one goroutine, sharing the receiver's lookahead cache, recorder and
 // configuration. Cached bounds are exact or certified regardless of which
 // sibling computed them, so sharing never changes selections — it only
-// skips work (see the determinism argument on tree.Build). Each sibling
-// carries its own scratch arena, so steady-state selection is
-// allocation-free without any synchronisation between siblings.
+// skips work (see the determinism argument on tree.Build). Each Select or
+// LowerBound call borrows a scratch arena from the factory and returns it
+// afterwards, so steady-state selection is allocation-free, concurrent
+// siblings never share an arena, and an idle sibling holds none.
 func (s *KLP) New() Strategy { return s.NewWithScratch(nil) }
 
 // NewWithScratch implements ScratchFactory: like New, but the sibling's
-// working memory comes from the caller's arena (nil sc = a private one, i.e.
-// exactly New). The batch scheduler passes its batch-wide scratch so one
-// arena backs strategy lookahead, session narrowing and the shared partition
-// cache alike.
+// working memory is the caller's arena for life (nil sc = borrowed per call,
+// i.e. exactly New). The batch scheduler passes its batch-wide scratch so
+// one arena backs strategy lookahead, session narrowing and the shared
+// partition cache alike.
 func (s *KLP) NewWithScratch(sc *dataset.Scratch) Strategy {
 	sibling := *s
 	sibling.excluded = nil
-	sibling.scratch = workerScratch{}
-	if !s.noScratch {
-		if sc == nil {
-			sc = dataset.NewScratch()
-		}
-		sibling.scratch = workerScratch{sc: sc}
-	}
+	sibling.scratch = s.scratch.mint(sc)
 	return &sibling
 }
 
@@ -133,13 +128,12 @@ func (s *KLP) DisableSortPrune() *KLP { s.noSortPrune = true; return s }
 // DisableULPrune turns off the recursive upper-limit pruning (ablation).
 func (s *KLP) DisableULPrune() *KLP { s.noULPrune = true; return s }
 
-// DisableScratch turns off the per-sibling scratch arenas and bitset pool
-// (ablation and reference path): siblings minted by New then run the
+// DisableScratch turns off the scratch arenas and bitset pool (ablation and
+// reference path): siblings minted by New or NewWithScratch then run the
 // original allocating hot path. Selections are identical either way — the
 // pooled-vs-unpooled equivalence tests pin this.
 func (s *KLP) DisableScratch() *KLP {
-	s.noScratch = true
-	s.scratch = workerScratch{}
+	s.scratch = disabledScratch()
 	return s
 }
 
@@ -174,7 +168,7 @@ func (s *KLP) Select(sub *dataset.Subset) (dataset.Entity, bool) {
 	if sub.Size() <= 1 {
 		return 0, false
 	}
-	e, _, found := s.search(sub, s.k, cost.Inf, 0)
+	e, _, found := s.root(sub)
 	return e, found
 }
 
@@ -185,7 +179,15 @@ func (s *KLP) LowerBound(sub *dataset.Subset) (dataset.Entity, cost.Value, bool)
 	if sub.Size() <= 1 {
 		return 0, 0, sub.Size() == 1
 	}
-	return s.search(sub, s.k, cost.Inf, 0)
+	return s.root(sub)
+}
+
+// root runs the top-level search over a sub-collection of ≥ 2 sets and
+// hands back the working memory the search borrowed, if any.
+func (s *KLP) root(sub *dataset.Subset) (dataset.Entity, cost.Value, bool) {
+	e, v, found := s.search(sub, s.k, cost.Inf, 0)
+	s.scratch.giveBack()
+	return e, v, found
 }
 
 // effectiveQ returns the beam width for a call at the given recursion depth:
@@ -235,7 +237,32 @@ func (s *KLP) search(sub *dataset.Subset, k int, ul cost.Value, depth int) (ent 
 	}
 
 	n := sub.Size()
-	cands := s.scratch.candidatesAt(depth, sub, s.metric)
+	w := s.scratch.hold()
+
+	// Lines 7–10: at one step of lookahead the answer is the minimum LB1,
+	// taken in one pass: the entity the candidate sort would order first.
+	// Truncating to the beam width q cannot change it. (See DESIGN.md: we
+	// take the true minimum-LB1 entity rather than the most-even one so the
+	// cached value remains a genuine lower bound under AD's ceilings.)
+	if k <= 1 {
+		var excluded map[dataset.Entity]bool
+		if excluding {
+			excluded = s.excluded
+		}
+		best, ok := argminLB1(w.informative(sub), n, s.metric, excluded)
+		if !ok {
+			return 0, ul, false
+		}
+		if !excluding {
+			s.cache.Put(key, cacheEntry{best.entity, best.lb1, true})
+		}
+		if best.lb1 >= ul {
+			return 0, best.lb1, false
+		}
+		return best.entity, best.lb1, true
+	}
+
+	cands := w.candidatesAt(depth, sub, s.metric)
 	sortByLB1(cands)
 	if excluding {
 		kept := cands[:0]
@@ -253,21 +280,6 @@ func (s *KLP) search(sub *dataset.Subset, k int, ul cost.Value, depth int) (ent 
 		cands = cands[:qEff]
 	}
 
-	// Lines 7–10: at one step of lookahead the answer is the minimum LB1,
-	// which after sorting is the first candidate. (See DESIGN.md: we take
-	// the true minimum-LB1 entity rather than the most-even one so the
-	// cached value remains a genuine lower bound under AD's ceilings.)
-	if k <= 1 {
-		best := cands[0]
-		if !excluding {
-			s.cache.Put(key, cacheEntry{best.entity, best.lb1, true})
-		}
-		if best.lb1 >= ul {
-			return 0, best.lb1, false
-		}
-		return best.entity, best.lb1, true
-	}
-
 	var ns NodeStats
 	ns.Candidates = len(cands)
 	for i, cand := range cands {
@@ -278,7 +290,7 @@ func (s *KLP) search(sub *dataset.Subset, k int, ul cost.Value, depth int) (ent 
 			ns.PrunedSort += len(cands) - i
 			break
 		}
-		with, without := s.scratch.partition(sub, cand.entity)
+		with, without := w.partition(sub, cand.entity)
 		l, aborted := s.childBounds(with, without, k, ul, depth, n)
 		// The children are pure lookahead state: hand their (pooled)
 		// bitsets back before moving to the next candidate.

@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"setdiscovery/internal/cost"
@@ -184,41 +185,113 @@ func TestKLPWarmCacheSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestFactoriesMintIndependentScratches: siblings must not share scratch
-// state (they may share caches only).
-func TestFactoriesMintIndependentScratches(t *testing.T) {
-	f := NewKLP(cost.AD, 2)
-	a := f.New().(*KLP)
-	b := f.New().(*KLP)
-	if a.scratch.sc == nil || b.scratch.sc == nil {
-		t.Fatal("minted siblings lack scratch state")
+// TestSiblingsBorrowScratchPerCall pins the lent-scratch invariant of the
+// lookahead strategies: a sibling minted by New holds no scratch while idle,
+// siblings borrowing at the same time get distinct scratches, every call
+// hands its scratch back with no pooled bitset outstanding, and siblings
+// still share the factory's cache. The stateless baselines keep one private
+// scratch per sibling.
+func TestSiblingsBorrowScratchPerCall(t *testing.T) {
+	subs := scratchSubs(t)
+	klp, gain := NewKLP(cost.AD, 2), NewGainK(2)
+	lenders := []*scratchLender{klp.scratch.lender, gain.scratch.lender}
+	for _, f := range []Factory{klp, gain} {
+		a, b := f.New(), f.New()
+		la, lb := lentOf(a), lentOf(b)
+		if la.w != nil || lb.w != nil {
+			t.Fatalf("%s: a freshly minted sibling pins a scratch", f.Name())
+		}
+		la.hold()
+		lb.hold()
+		if la.w == nil || la.w == lb.w {
+			t.Fatalf("%s: siblings borrowing at once share scratch %p", f.Name(), la.w)
+		}
+		la.giveBack()
+		lb.giveBack()
+		for _, sub := range subs {
+			a.Select(sub)
+			if la.w != nil {
+				t.Fatalf("%s: an idle sibling pins a scratch after Select", f.Name())
+			}
+		}
 	}
-	if a.scratch.sc == b.scratch.sc {
-		t.Fatal("siblings share one scratch — unsafe for concurrent workers")
+	for _, l := range lenders {
+		if len(l.idle) == 0 {
+			t.Fatal("no scratch was lent and handed back")
+		}
+		for i, w := range l.idle {
+			if out := w.sc.Pool().Stats().Outstanding(); out != 0 {
+				t.Fatalf("lent scratch %d: %d pooled bitsets outstanding after Select", i, out)
+			}
+		}
 	}
-	if a.cache != b.cache {
+	if a, b := klp.New().(*KLP), klp.New().(*KLP); a.cache != b.cache {
 		t.Fatal("siblings do not share the lookahead cache")
 	}
-	for i, fac := range []Factory{MostEven{}, InfoGain{}, Indg{}, NewGainK(2)} {
-		x := fac.New()
-		y := fac.New()
-		sx, sy := scratchOf(x), scratchOf(y)
-		if sx == nil || sy == nil {
-			t.Fatalf("factory %d: minted instance lacks scratch", i)
+	for i, fac := range []Factory{MostEven{}, InfoGain{}, Indg{}} {
+		x, y := baselineScratch(fac.New()), baselineScratch(fac.New())
+		if x == nil || y == nil {
+			t.Fatalf("baseline %d: minted instance lacks scratch", i)
 		}
-		if sx == sy {
-			t.Fatalf("factory %d: siblings share one scratch", i)
+		if x == y {
+			t.Fatalf("baseline %d: siblings share one scratch", i)
 		}
 	}
 }
 
-// scratchOf digs the dataset scratch out of any built-in strategy instance.
-func scratchOf(s Strategy) *dataset.Scratch {
+// TestConcurrentSiblingsLentScratch runs siblings of one factory on many
+// goroutines at once. Run under -race: two siblings holding one scratch at
+// the same time would race on its count arrays. Every selection must match
+// the allocating reference.
+func TestConcurrentSiblingsLentScratch(t *testing.T) {
+	subs := scratchSubs(t)
+	klp := NewKLP(cost.AD, 3)
+	klp.SetCacheBound(64) // heavy eviction: most calls do real lookahead work
+	for _, f := range []struct {
+		fac, ref Factory
+	}{
+		{klp, NewKLP(cost.AD, 3).DisableScratch()},
+		{NewGainK(2), NewGainK(2).DisableScratch()},
+	} {
+		ref := f.ref.New()
+		want := make([]dataset.Entity, len(subs))
+		for i, sub := range subs {
+			want[i], _ = ref.Select(sub)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sel := f.fac.New()
+				for pass := 0; pass < 3; pass++ {
+					for i, sub := range subs {
+						if got, _ := sel.Select(sub); got != want[i] {
+							t.Errorf("%s sub %d: selected %d, want %d", f.fac.Name(), i, got, want[i])
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// lentOf returns the scratch state of a lookahead strategy instance.
+func lentOf(s Strategy) *lentScratch {
 	switch v := s.(type) {
 	case *KLP:
-		return v.scratch.sc
+		return &v.scratch
 	case *GainK:
-		return v.scratch.sc
+		return &v.scratch
+	default:
+		panic(fmt.Sprintf("not a lookahead strategy: %T", s))
+	}
+}
+
+// baselineScratch digs the dataset scratch out of a baseline instance.
+func baselineScratch(s Strategy) *dataset.Scratch {
+	switch v := s.(type) {
 	case MostEven:
 		return v.sc
 	case InfoGain:
@@ -226,7 +299,7 @@ func scratchOf(s Strategy) *dataset.Scratch {
 	case Indg:
 		return v.sc
 	default:
-		panic(fmt.Sprintf("unknown strategy %T", s))
+		panic(fmt.Sprintf("not a baseline strategy: %T", s))
 	}
 }
 

@@ -53,13 +53,13 @@ type Factory interface {
 
 // ScratchFactory is a Factory whose instances can draw their working memory
 // (count arrays, candidate buffers, partition bitsets) from a caller-owned
-// dataset.Scratch instead of a private arena. The batch discovery scheduler
-// uses it to run one strategy instance, N sessions and the shared partition
-// cache against a single arena, so a whole batch step touches one pool and
-// one set of buffers. Selections are identical either way — the scratch only
-// changes where memory comes from. The caller's scratch inherits the
-// instance's single-worker discipline: everything sharing it must be
-// externally serialised.
+// dataset.Scratch instead of arenas of their own. The batch discovery
+// scheduler uses it to run one strategy instance, N sessions and the shared
+// partition cache against a single arena, so a whole batch step touches one
+// pool and one set of buffers. Selections are identical either way — the
+// scratch only changes where memory comes from. The caller's scratch
+// inherits the instance's single-worker discipline: everything sharing it
+// must be externally serialised.
 //
 // Every concrete strategy in this package implements ScratchFactory.
 type ScratchFactory interface {
@@ -77,25 +77,11 @@ type candidate struct {
 	uneven int        // |‖C1|−|C2‖ = |2·with − n|; 0 is perfectly even
 }
 
-// candidates lists the informative entities of sub with LB1 under metric m,
-// in entity-ID order.
-func candidates(sub *dataset.Subset, m cost.Metric) []candidate {
-	return appendCandidates(nil, sub, m, nil)
-}
-
-// appendCandidates is the buffer-reusing core of candidates: it resets buf
-// and fills it with the informative entities of sub (counted through sc
-// when non-nil, allocation-free in steady state), returning the possibly
-// regrown slice. The result is valid until sc's next use only so far as it
-// holds copies — the EntityCount scratch slice is consumed before return.
-func appendCandidates(buf []candidate, sub *dataset.Subset, m cost.Metric, sc *dataset.Scratch) []candidate {
-	var infos []dataset.EntityCount
-	if sc != nil {
-		infos = sub.InformativeEntitiesInto(sc)
-	} else {
-		infos = sub.InformativeEntities()
-	}
-	n := sub.Size()
+// appendCandidates resets buf and fills it with the informative entities
+// infos of an n-set sub-collection and their LB1 under metric m, returning
+// the possibly regrown slice. It copies what it keeps, so infos may alias a
+// scratch that is reused right after.
+func appendCandidates(buf []candidate, n int, infos []dataset.EntityCount, m cost.Metric) []candidate {
 	buf = slices.Grow(buf[:0], len(infos))
 	for _, ec := range infos {
 		buf = append(buf, candidate{
@@ -132,6 +118,27 @@ func sortByLB1(cands []candidate) {
 		}
 		return 0
 	})
+}
+
+// argminLB1 returns the candidate among the informative entities infos of
+// an n-set sub-collection that sortByLB1 would order first, skipping
+// excluded entities: one linear pass instead of a sort. infos is in
+// ascending entity order, so keeping the first of equal (lb1, uneven) pairs
+// breaks ties by smallest entity ID exactly as the sort does. ok is false
+// when every entity is excluded.
+func argminLB1(infos []dataset.EntityCount, n int, m cost.Metric, excluded map[dataset.Entity]bool) (best candidate, ok bool) {
+	for _, ec := range infos {
+		if len(excluded) > 0 && excluded[ec.Entity] {
+			continue
+		}
+		lb1 := cost.LB1(m, ec.Count, n-ec.Count)
+		uneven := abs(2*ec.Count - n)
+		if !ok || lb1 < best.lb1 || (lb1 == best.lb1 && uneven < best.uneven) {
+			best = candidate{entity: ec.Entity, with: ec.Count, lb1: lb1, uneven: uneven}
+			ok = true
+		}
+	}
+	return best, ok
 }
 
 func abs(x int) int {
